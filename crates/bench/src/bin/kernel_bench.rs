@@ -1,5 +1,6 @@
-//! Kernel benchmark: times the blocked GEMM/conv kernels against the naive oracle on
-//! shapes drawn from the model zoo, counts steady-state heap allocations on the blocked
+//! Kernel benchmark: times the blocked GEMM/conv kernels against the naive oracle (and the
+//! max-pool row kernel against the per-window scan it replaced) on shapes drawn from the
+//! model zoo, counts steady-state heap allocations on the blocked
 //! hot path, and emits the repo's perf trajectory file.
 //!
 //! ```text
@@ -14,7 +15,7 @@
 //!   2. the gate-shape speedup must stay within `MERGESFL_PERF_FLOOR` (default 0.70) of
 //!      the committed `BENCH_kernels.json` baseline, when one is present — a
 //!      noise-tolerant regression floor rather than an exact match;
-//!   3. with the tensor pool enabled, every blocked GEMM/conv case must run with zero
+//!   3. with the tensor pool enabled, every blocked GEMM/conv/pool case must run with zero
 //!      steady-state heap allocations per iteration — including the double-buffered
 //!      driver on the gate shape (`MERGESFL_COUNT_ALLOCS=off` skips the measurement
 //!      and the gate);
@@ -38,6 +39,7 @@
 
 use mergesfl::json::{self, write_f64, JsonValue};
 use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
+use mergesfl_nn::kernels::pool::maxpool_forward;
 use mergesfl_nn::kernels::{
     gemm_cfg, gemm_with_scheme, reset_stage_stats, runtime, stage_stats, Epilogue, GemmPlan,
     KernelBackend, Staging, TilingScheme, Trans,
@@ -72,6 +74,13 @@ enum Case {
     ConvForward(ConvGeom),
     /// One convolution backward pass (weight, bias and input gradients).
     ConvBackward(ConvGeom),
+    /// One max-pool forward pass over `planes` planes of `h × w` with a `k × k` window.
+    MaxPool {
+        planes: usize,
+        h: usize,
+        w: usize,
+        k: usize,
+    },
 }
 
 struct Entry {
@@ -161,6 +170,23 @@ fn zoo() -> Vec<Entry> {
             name: "conv2d_alexnet_c1_b16_bwd",
             case: Case::ConvBackward(ConvGeom::conv2d(16, 3, 16, 16, 8, 3, 1, 1)),
         },
+        // AlexNet-lite's mid-layer convs: 8→16 channels at 8×8 and 16→16 at 4×4.
+        Entry {
+            name: "conv2d_alexnet_c2_b16_fwd",
+            case: Case::ConvForward(ConvGeom::conv2d(16, 8, 8, 8, 16, 3, 1, 1)),
+        },
+        Entry {
+            name: "conv2d_alexnet_c2_b16_bwd",
+            case: Case::ConvBackward(ConvGeom::conv2d(16, 8, 8, 8, 16, 3, 1, 1)),
+        },
+        Entry {
+            name: "conv2d_alexnet_c3_b16_fwd",
+            case: Case::ConvForward(ConvGeom::conv2d(16, 16, 4, 4, 16, 3, 1, 1)),
+        },
+        Entry {
+            name: "conv2d_alexnet_c3_b16_bwd",
+            case: Case::ConvBackward(ConvGeom::conv2d(16, 16, 4, 4, 16, 3, 1, 1)),
+        },
         Entry {
             name: "conv1d_cnns_c1_b16_fwd",
             case: Case::ConvForward(ConvGeom::conv1d(16, 1, 64, 8, 5, 1, 2)),
@@ -168,6 +194,16 @@ fn zoo() -> Vec<Entry> {
         Entry {
             name: "conv1d_cnns_c1_b16_bwd",
             case: Case::ConvBackward(ConvGeom::conv1d(16, 1, 64, 8, 5, 1, 2)),
+        },
+        // AlexNet-lite's first MaxPool2d: 8 channels of 16×16, 2×2 windows.
+        Entry {
+            name: "maxpool2d_alexnet_p1_b16",
+            case: Case::MaxPool {
+                planes: 16 * 8,
+                h: 16,
+                w: 16,
+                k: 2,
+            },
         },
     ]
 }
@@ -533,7 +569,68 @@ fn measure(entry: &Entry) -> Measurement {
                 stage_idle_pct: None,
             }
         }
+        Case::MaxPool { planes, h, w, k } => {
+            let (planes, h, w, k) = (*planes, *h, *w, *k);
+            let x = random_vec(&mut rng, planes * h * w);
+            // One comparison per input element.
+            let flops = (planes * h * w) as f64;
+            let reps = reps_for(flops);
+            let naive_ns = best_ns(
+                || {
+                    std::hint::black_box(maxpool_scan(&x, planes, h, w, k));
+                },
+                reps,
+            )
+            .0;
+            let (blocked_ns, blocked_jitter_ns) = best_ns(
+                || {
+                    let (out, argmax) = maxpool_forward(&x, planes, h, w, k, k);
+                    std::hint::black_box((&out, &argmax));
+                    mergesfl_nn::pool::recycle(out);
+                    mergesfl_nn::pool::recycle(argmax);
+                },
+                reps,
+            );
+            Measurement {
+                name: entry.name,
+                kind: "maxpool_forward",
+                flops,
+                naive_ns,
+                blocked_ns,
+                blocked_jitter_ns,
+                allocs_per_iter: None,
+                single_ns: None,
+                double_ns: None,
+                stage_idle_pct: None,
+            }
+        }
     }
+}
+
+/// The per-window max-pool scan the row kernels replaced, kept as the pooling case's
+/// naive baseline (same results, including the argmax seed).
+fn maxpool_scan(x: &[f32], planes: usize, h: usize, w: usize, k: usize) -> (Vec<f32>, Vec<usize>) {
+    let (h_out, w_out) = (h / k, w / k);
+    let mut out = vec![f32::NEG_INFINITY; planes * h_out * w_out];
+    let mut argmax = vec![0usize; out.len()];
+    for p in 0..planes {
+        for oy in 0..h_out {
+            for ox in 0..w_out {
+                let oi = (p * h_out + oy) * w_out + ox;
+                argmax[oi] = p * h * w + oy * k * w + ox * k;
+                for ky in 0..k {
+                    for kx in 0..k {
+                        let xi = p * h * w + (oy * k + ky) * w + ox * k + kx;
+                        if x[xi] > out[oi] {
+                            out[oi] = x[xi];
+                            argmax[oi] = xi;
+                        }
+                    }
+                }
+            }
+        }
+    }
+    (out, argmax)
 }
 
 fn conv_flops(geom: &ConvGeom) -> f64 {
@@ -625,6 +722,15 @@ fn measure_allocs(entry: &Entry) -> f64 {
                 );
                 std::hint::black_box(&grad_in);
                 mergesfl_nn::pool::recycle(grad_in);
+            })
+        }
+        Case::MaxPool { planes, h, w, k } => {
+            let x = random_vec(&mut rng, planes * h * w);
+            steady_state_allocs(|| {
+                let (out, argmax) = maxpool_forward(&x, *planes, *h, *w, *k, *k);
+                std::hint::black_box((&out, &argmax));
+                mergesfl_nn::pool::recycle(out);
+                mergesfl_nn::pool::recycle(argmax);
             })
         }
     }
@@ -861,7 +967,7 @@ fn main() {
             None => println!("perf floor skipped: no parsable committed BENCH_kernels.json"),
         }
 
-        // Allocation gate: every blocked GEMM/conv case must be allocation-free in
+        // Allocation gate: every blocked GEMM/conv/pool case must be allocation-free in
         // steady state when the pool serves checkouts.
         if mergesfl_nn::pool::count_allocs() && mergesfl_nn::pool::enabled() {
             let mut leaky: Vec<String> = results

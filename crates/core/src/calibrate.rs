@@ -5,7 +5,7 @@
 //! architecture's top model was charged at the same effective throughput and with the
 //! same critical/overlappable split. In reality the server's effective rate depends on
 //! the kernel mix the top model runs — small fully-connected GEMMs sustain a fraction of
-//! what large square GEMMs do, and im2col convolutions sit in between — and the share of
+//! what large square GEMMs do, and convolutions sit in between — and the share of
 //! a step that gates gradient dispatch depends on the measured forward/backward balance.
 //!
 //! [`ServerCostModel::for_architecture`] derives both quantities from `kernel_bench`
@@ -159,7 +159,7 @@ fn representative_shapes(arch: Architecture) -> (&'static [&'static str], &'stat
             &["conv2d_alexnet_c1_b16_fwd", "linear_alexnet_fc1_b64"],
             &["conv2d_alexnet_c1_b16_bwd"],
         ),
-        // VGG16's top layers im2col into large square GEMMs, with a measured conv
+        // VGG16's top layers are charged like large square GEMMs, with a measured conv
         // stage and its two head FC layers rounding out the forward mix.
         Architecture::Vgg16Lite => (
             &[

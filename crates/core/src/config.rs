@@ -55,8 +55,8 @@ pub struct RunConfig {
     /// honour the `MERGESFL_PIPELINE` environment variable (`on`/`off`); the barrier loop
     /// remains the default and the correctness oracle.
     pub pipeline: bool,
-    /// Which compute-kernel backend runs the NN hot path (blocked GEMM/im2col by default,
-    /// or the naive loop-nest oracle). Applied process-wide by `experiment::run`;
+    /// Which compute-kernel backend runs the NN hot path (blocked GEMM and direct conv by
+    /// default, or the naive loop-nest oracle). Applied process-wide by `experiment::run`;
     /// constructors honour the `MERGESFL_KERNELS` environment variable.
     pub kernel_backend: KernelBackend,
     /// GEMM micro-kernel override: force one of the runtime's kernels (`portable`, `avx`,

@@ -298,7 +298,7 @@ impl FlEngine {
                     worker.model.zero_grad();
                     let logits = worker.model.forward(&inputs, true);
                     let out = loss.forward(&logits, &labels);
-                    worker.model.backward(&out.grad);
+                    worker.model.backward_params(&out.grad);
                     worker.optimizer.step(&mut worker.model);
                     local_loss += out.loss;
                 }

@@ -79,7 +79,7 @@ impl SflWorker {
     ) {
         let lr = scaled_worker_lr(base_lr, batch_size, reference_batch);
         self.optimizer.set_lr(lr);
-        self.bottom.backward(grad_features);
+        self.bottom.backward_params(grad_features);
         self.optimizer.step(&mut self.bottom);
         self.bottom.zero_grad();
     }

@@ -15,7 +15,7 @@
 //! |---|---|---|
 //! | `MERGESFL_PIPELINE` | `mergesfl::config` | `on`/`1`/`true` enables the pipelined engine |
 //! | `MERGESFL_KERNELS` | `mergesfl_nn::kernels` | `naive` selects the oracle backend (default: blocked) |
-//! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available) |
+//! | `MERGESFL_MICROKERNEL` | `mergesfl_nn::kernels::runtime` | force a GEMM micro-kernel: `portable`/`avx`/`avx512`/`avx512w` (unavailable ones fall back to portable; default: widest available); also picks the conv/pool instantiation (baseline, AVX, AVX-512F) |
 //! | `MERGESFL_TILING` | `mergesfl_nn::kernels::runtime` | tiling-scheme override for packed GEMMs: `mc=..,kc=..,nc=..,stages=1\|2,tile=MRxNR` (any subset; default: per-shape selection) |
 //! | `MERGESFL_TENSOR_POOL` | `mergesfl::config`, `mergesfl_nn::pool` | `off`/`0`/`false` disables pooled tensor memory |
 //! | `MERGESFL_COUNT_ALLOCS` | `mergesfl_nn::pool` | `1`/`on`/`true` enables the counting global allocator |

@@ -113,6 +113,59 @@ impl MicroSelect {
     }
 }
 
+/// A kernel body written once over `L`-lane arrays and compiled once per instruction
+/// set by [`multiversion`]: the direct convolution and pooling kernels.
+///
+/// Implementations mark [`Multiversion::run`] `#[inline(always)]`, so each
+/// `#[target_feature]` wrapper in [`multiversion`] gets its own copy of the body, vectorised
+/// for that instruction set. The body must compute the same values for every `L`: lanes
+/// only change how many independent outputs advance together, never the order in which
+/// any one output accumulates.
+pub(crate) trait Multiversion {
+    /// The kernel body over `L`-lane vectors.
+    fn run<const L: usize>(&mut self);
+}
+
+/// Runs `kernel` in the instantiation picked by the runtime's [`MicroSelect`] policy
+/// (`MERGESFL_MICROKERNEL`): AVX-512F with 16 lanes when an AVX-512 kernel is selected or
+/// auto-detected, AVX with 8 lanes for `avx`, and baseline code with 4 lanes for `portable`
+/// or on hosts without AVX.
+pub(crate) fn multiversion<K: Multiversion>(kernel: &mut K) {
+    #[cfg(target_arch = "x86_64")]
+    {
+        /// # Safety
+        /// The host must support AVX-512F.
+        #[target_feature(enable = "avx512f")]
+        unsafe fn avx512<K: Multiversion>(kernel: &mut K) {
+            kernel.run::<16>();
+        }
+
+        /// # Safety
+        /// The host must support AVX.
+        #[target_feature(enable = "avx")]
+        unsafe fn avx<K: Multiversion>(kernel: &mut K) {
+            kernel.run::<8>();
+        }
+
+        let id = match super::runtime::micro_select() {
+            MicroSelect::Force(id) => id,
+            MicroSelect::Auto if avx512f_available() => MicroKernelId::Avx512_16x16,
+            MicroSelect::Auto if avx_available() => MicroKernelId::Avx8x8,
+            MicroSelect::Auto => MicroKernelId::Portable,
+        };
+        match id {
+            // SAFETY: `micro_select` only forces kernels that report available, and the
+            // auto arm checked AVX-512F; both AVX-512 kernels require AVX-512F.
+            MicroKernelId::Avx512_16x8 | MicroKernelId::Avx512_16x16 => unsafe { avx512(kernel) },
+            // SAFETY: as above — the `avx` kernel is only selected when AVX is available.
+            MicroKernelId::Avx8x8 => unsafe { avx(kernel) },
+            MicroKernelId::Portable => kernel.run::<4>(),
+        }
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    kernel.run::<4>();
+}
+
 #[cfg(target_arch = "x86_64")]
 fn avx_available() -> bool {
     std::arch::is_x86_feature_detected!("avx")

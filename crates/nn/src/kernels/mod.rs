@@ -14,22 +14,28 @@
 //!   plus a [`micro`] kernel chosen behind CPU feature detection, and the drivers in
 //!   [`gemm`] execute whatever plan they are handed — including double-buffered
 //!   multi-stage execution, where a persistent packer thread overlaps the next stage's
-//!   packing with the current stage's compute. Convolutions im2col into the same GEMMs
-//!   ([`conv`]), and intra-op parallelism fans row panels out through the rayon shim.
+//!   packing with the current stage's compute. Intra-op parallelism fans row panels out
+//!   through the rayon shim. Convolutions do not go through the GEMMs: [`conv`] runs a
+//!   direct kernel over a zero-padded staged input in wide-row coordinates, and [`pool`]
+//!   a row-wise max-pool kernel, both written once over `L`-lane arrays and compiled per
+//!   instruction set by [`micro`]'s multiversion dispatch.
 //!
-//! Both backends are deterministic, and the blocked GEMM accumulates every output element
-//! in exactly the same ascending-`k` order as the naive loops (the micro-kernel loads the
-//! destination tile and folds into it), so forward passes, weight gradients and bias
-//! gradients are **bit-identical** across backends on finite inputs. The only reassociated
-//! reduction is the conv input gradient (`col2im` sums kernel taps in a different order),
-//! which property tests bound to a few ULPs (see `tests/kernel_parity.rs`).
+//! Both backends are deterministic, and the blocked kernels accumulate every output
+//! element in exactly the same order as the naive loops (the GEMM micro-kernel loads the
+//! destination tile and folds into it in ascending `k`; the conv kernel adds taps and
+//! output positions in the naive nest's order), so forward passes, weight gradients and
+//! bias gradients are **bit-identical** across backends on finite inputs. The only
+//! reassociated reduction is the conv input gradient (the direct kernel sums per output
+//! position, the naive nest per output channel), which property tests bound to a few ULPs
+//! (see `tests/kernel_parity.rs`).
 //!
 //! The process-wide default backend is read by [`crate::Tensor::matmul`] and every layer at
 //! call time; it is selected through [`set_default_backend`] (plumbed from
 //! `mergesfl::config::RunConfig::kernel_backend`) or the `MERGESFL_KERNELS` environment
 //! variable (`naive` / `blocked`). Plans can be steered without changing results via
-//! `MERGESFL_MICROKERNEL` (force a micro-kernel) and `MERGESFL_TILING` (adjust packed
-//! schemes) — see [`crate::env`] for the knob table.
+//! `MERGESFL_MICROKERNEL` (force a micro-kernel, which also picks the conv and pool
+//! instantiation) and `MERGESFL_TILING` (adjust packed schemes) — see [`crate::env`] for
+//! the knob table.
 
 pub mod conv;
 pub mod gemm;
@@ -53,7 +59,7 @@ use std::sync::atomic::{AtomicU8, Ordering};
 pub enum KernelBackend {
     /// The original triple-loop matmul and direct convolution nests (test oracle).
     Naive,
-    /// Cache-blocked, register-tiled GEMM and im2col convolution (default).
+    /// Cache-blocked, register-tiled GEMM and direct SIMD convolution (default).
     #[default]
     Blocked,
 }

@@ -1,11 +1,19 @@
 //! Max-pooling kernels shared by `MaxPool1d` and `MaxPool2d`.
 //!
 //! Pooling has no meaningful blocked/naive split — there is a single deterministic
-//! implementation: a window scan per `(batch, channel)` plane with the window stride equal
-//! to the window size (the only configuration the model zoo uses). A 1-D pool is the
-//! `h = 1, kh = 1` special case. Planes own disjoint output slices, so large inputs fan
-//! out over the rayon shim without changing a single result.
+//! implementation, with the window stride equal to the window size (the only
+//! configuration the model zoo uses). A 1-D pool is the `h = 1, kh = 1` special case.
+//!
+//! The forward pass runs row by row, folding each window's elements in ascending
+//! `(ky, kx)` order with selects instead of branches. Each window keeps the first element
+//! strictly greater than everything before it, starting from `-inf` and from the index of
+//! the window's own first element — so a window holding only NaN (or `-inf`) routes its
+//! gradient into itself. The body is multiversioned like the convolution kernel, and the
+//! model zoo's `2 × 2` and `1 × 2` windows get a fast path that vectorises over a row's
+//! windows. Planes own disjoint output slices, so large inputs fan out over the rayon shim
+//! without changing a single result.
 
+use super::micro::{multiversion, Multiversion};
 use rayon::prelude::*;
 
 /// Minimum total input elements before plane processing fans out across threads.
@@ -32,37 +40,29 @@ pub fn maxpool_forward(
         h >= kh && w >= kw,
         "maxpool_forward: input smaller than window"
     );
-    let (h_out, w_out) = (h / kh, w / kw);
-    let out_plane = h_out * w_out;
-    // Pooled checkouts with the same seeds the fresh vecs had: the scan compares
-    // against -inf, and argmax must start at 0 (a NaN-only window never overwrites it).
+    let out_plane = (h / kh) * (w / kw);
+    // Pooled checkouts, not zeroed: the kernel seeds every element before folding.
     let mut out = crate::pool::take_uninit::<f32>(planes * out_plane);
-    out.fill(f32::NEG_INFINITY);
-    let mut argmax = crate::pool::take_zeroed::<usize>(out.len());
-
-    let run_plane = |plane: usize, out_p: &mut [f32], arg_p: &mut [usize]| {
-        let base = plane * h * w;
-        for oy in 0..h_out {
-            for ox in 0..w_out {
-                let oi = oy * w_out + ox;
-                for ky in 0..kh {
-                    let row = base + (oy * kh + ky) * w + ox * kw;
-                    for kx in 0..kw {
-                        let xi = row + kx;
-                        if x[xi] > out_p[oi] {
-                            out_p[oi] = x[xi];
-                            arg_p[oi] = xi;
-                        }
-                    }
-                }
-            }
-        }
+    let mut argmax = crate::pool::take_uninit::<usize>(out.len());
+    if out.is_empty() {
+        return (out, argmax);
+    }
+    let task = |plane0: usize, out: &mut [f32], argmax: &mut [usize]| {
+        multiversion(&mut PoolRows {
+            x,
+            base: plane0 * h * w,
+            h,
+            w,
+            kh,
+            kw,
+            out,
+            argmax,
+        });
     };
 
-    /// One parallel task: a plane index plus its disjoint output and argmax slices.
-    type PlaneTask<'a> = (usize, (&'a mut [f32], &'a mut [usize]));
-
     if rayon::current_num_threads() > 1 && planes > 1 && x.len() >= PAR_MIN_ELEMS {
+        /// One parallel task: a plane index plus its disjoint output and argmax slices.
+        type PlaneTask<'a> = (usize, (&'a mut [f32], &'a mut [usize]));
         let tasks: Vec<PlaneTask<'_>> = out
             .chunks_mut(out_plane)
             .zip(argmax.chunks_mut(out_plane))
@@ -72,17 +72,97 @@ pub fn maxpool_forward(
             .collect();
         tasks
             .into_par_iter()
-            .for_each(|(plane, (out_p, arg_p))| run_plane(plane, out_p, arg_p));
+            .for_each(|(plane, (out_p, arg_p))| task(plane, out_p, arg_p));
     } else {
-        for (plane, (out_p, arg_p)) in out
-            .chunks_mut(out_plane)
-            .zip(argmax.chunks_mut(out_plane))
-            .enumerate()
-        {
-            run_plane(plane, out_p, arg_p);
-        }
+        task(0, &mut out, &mut argmax);
     }
     (out, argmax)
+}
+
+/// Consecutive planes of one pooling call, the first starting at `x[base]`.
+struct PoolRows<'a> {
+    x: &'a [f32],
+    base: usize,
+    h: usize,
+    w: usize,
+    kh: usize,
+    kw: usize,
+    out: &'a mut [f32],
+    argmax: &'a mut [usize],
+}
+
+impl Multiversion for PoolRows<'_> {
+    #[inline(always)]
+    fn run<const L: usize>(&mut self) {
+        match (self.kh, self.kw) {
+            (2, 2) => self.fixed_windows::<2, 2>(),
+            (1, 2) => self.fixed_windows::<1, 2>(),
+            _ => self.any_windows(),
+        }
+    }
+}
+
+impl PoolRows<'_> {
+    /// Index in `x` of the first input element of the call's output row `r`.
+    #[inline(always)]
+    fn row_start(&self, r: usize, h_out: usize) -> usize {
+        self.base + (r / h_out) * self.h * self.w + (r % h_out) * self.kh * self.w
+    }
+
+    /// `KH × KW` windows: each window folds in registers, without branches, and the loop
+    /// over a row's windows vectorises.
+    #[inline(always)]
+    fn fixed_windows<const KH: usize, const KW: usize>(&mut self) {
+        let (h_out, w_out) = (self.h / KH, self.w / KW);
+        for r in 0..self.out.len() / w_out {
+            let row0 = self.row_start(r, h_out);
+            let rows: [&[[f32; KW]]; KH] = std::array::from_fn(|ky| {
+                let start = row0 + ky * self.w;
+                &self.x[start..start + w_out * KW].as_chunks::<KW>().0[..w_out]
+            });
+            let out = &mut self.out[r * w_out..][..w_out];
+            let arg = &mut self.argmax[r * w_out..][..w_out];
+            for ox in 0..w_out {
+                // The winner's position inside its window, as a 32-bit code: the same
+                // lane width as the values, so the loop vectorises over windows.
+                let (mut m, mut k) = (f32::NEG_INFINITY, 0u32);
+                for ky in 0..KH {
+                    for kx in 0..KW {
+                        let v = rows[ky][ox][kx];
+                        let better = v > m;
+                        m = if better { v } else { m };
+                        k = if better { (ky * KW + kx) as u32 } else { k };
+                    }
+                }
+                out[ox] = m;
+                let k = k as usize;
+                arg[ox] = row0 + (k / KW) * self.w + ox * KW + k % KW;
+            }
+        }
+    }
+
+    /// Any window, one at a time.
+    #[inline(always)]
+    fn any_windows(&mut self) {
+        let (kh, kw, w) = (self.kh, self.kw, self.w);
+        let (h_out, w_out) = (self.h / kh, w / kw);
+        for r in 0..self.out.len() / w_out {
+            let row0 = self.row_start(r, h_out);
+            let out = &mut self.out[r * w_out..][..w_out];
+            let arg = &mut self.argmax[r * w_out..][..w_out];
+            for (ox, (m, a)) in out.iter_mut().zip(arg.iter_mut()).enumerate() {
+                (*m, *a) = (f32::NEG_INFINITY, row0 + ox * kw);
+                for ky in 0..kh {
+                    for kx in 0..kw {
+                        let i = row0 + ky * w + ox * kw + kx;
+                        if self.x[i] > *m {
+                            (*m, *a) = (self.x[i], i);
+                        }
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// Routes each output gradient back to the input position that produced its maximum.
@@ -127,6 +207,98 @@ mod tests {
     fn backward_scatters_to_argmax() {
         let grad = maxpool_backward(&[10.0, 20.0], &[3, 1], 4);
         assert_eq!(grad, vec![0.0, 20.0, 0.0, 10.0]);
+    }
+
+    #[test]
+    fn nan_only_window_keeps_its_gradient_in_its_own_window() {
+        // Plane 1 of a 2-D pool is all NaN, as is the third window of a 1-D pool: no
+        // element beats the -inf seed, so the argmax must still name the window's own
+        // first element — never element 0 of the whole tensor.
+        let nan = f32::NAN;
+        let x = vec![1.0, 2.0, 3.0, 4.0, nan, nan, nan, nan];
+        let (out, argmax) = maxpool_forward(&x, 2, 2, 2, 2, 2);
+        assert_eq!(out, vec![4.0, f32::NEG_INFINITY]);
+        assert_eq!(argmax, vec![3, 4]);
+        let grad = maxpool_backward(&[1.0, 10.0], &argmax, x.len());
+        assert_eq!(grad, vec![0.0, 0.0, 0.0, 1.0, 10.0, 0.0, 0.0, 0.0]);
+
+        let x = vec![nan, 3.0, 5.0, nan, nan, nan];
+        let (out, argmax) = maxpool_forward(&x, 1, 1, 6, 1, 2);
+        assert_eq!(out, vec![3.0, 5.0, f32::NEG_INFINITY]);
+        assert_eq!(argmax, vec![1, 2, 4]);
+    }
+
+    /// The per-window scan the row kernels replace, with the window's first index as seed.
+    fn reference(
+        x: &[f32],
+        planes: usize,
+        h: usize,
+        w: usize,
+        kh: usize,
+        kw: usize,
+    ) -> (Vec<f32>, Vec<usize>) {
+        let (h_out, w_out) = (h / kh, w / kw);
+        let (mut out, mut arg) = (Vec::new(), Vec::new());
+        for p in 0..planes {
+            for oy in 0..h_out {
+                for ox in 0..w_out {
+                    let first = p * h * w + oy * kh * w + ox * kw;
+                    let (mut m, mut a) = (f32::NEG_INFINITY, first);
+                    for ky in 0..kh {
+                        for kx in 0..kw {
+                            let i = first + ky * w + kx;
+                            if x[i] > m {
+                                (m, a) = (x[i], i);
+                            }
+                        }
+                    }
+                    out.push(m);
+                    arg.push(a);
+                }
+            }
+        }
+        (out, arg)
+    }
+
+    #[test]
+    fn row_kernels_match_the_window_scan() {
+        // Coarse values so ties are common, plus NaN and -inf entries.
+        let mut x: Vec<f32> = (0..3 * 9 * 11)
+            .map(|i| ((i * 7 % 5) as f32) - 2.0)
+            .collect();
+        x[13] = f32::NAN;
+        x[50] = f32::NEG_INFINITY;
+        for (h, w, kh, kw) in [
+            (9, 11, 2, 2),
+            (1, 99, 1, 2),
+            (9, 11, 3, 3),
+            (9, 11, 2, 3),
+            (9, 11, 1, 1),
+        ] {
+            let planes = x.len() / (h * w);
+            let (out, arg) = maxpool_forward(&x, planes, h, w, kh, kw);
+            let (want_out, want_arg) = reference(&x, planes, h, w, kh, kw);
+            assert_eq!(arg, want_arg, "{h}x{w} / {kh}x{kw}");
+            let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&out), bits(&want_out), "{h}x{w} / {kh}x{kw}");
+        }
+    }
+
+    #[test]
+    fn plane_fan_out_matches_the_serial_pass() {
+        // 64 planes of 32×32 cross PAR_MIN_ELEMS.
+        let x: Vec<f32> = (0..64 * 32 * 32)
+            .map(|i| ((i * 31 % 97) as f32).sin())
+            .collect();
+        let run = |threads| {
+            rayon::set_num_threads(threads);
+            let pooled = maxpool_forward(&x, 64, 32, 32, 2, 2);
+            rayon::set_num_threads(0);
+            pooled
+        };
+        let serial = run(1);
+        assert_eq!(serial, run(2));
+        assert_eq!(serial, reference(&x, 64, 32, 32, 2, 2));
     }
 
     #[test]

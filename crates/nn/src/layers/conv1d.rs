@@ -8,9 +8,8 @@ use rand::Rng;
 
 /// A 1-D convolution over `[batch, in_channels, length]` inputs.
 ///
-/// Runs through [`crate::kernels::conv`] as a height-1 2-D convolution: an im2col-backed
-/// blocked GEMM by default, or the original direct loop nest under
-/// [`kernels::KernelBackend::Naive`].
+/// Runs through [`crate::kernels::conv`] as a height-1 2-D convolution: the direct SIMD
+/// kernel by default, or the original loop nest under [`kernels::KernelBackend::Naive`].
 pub struct Conv1d {
     in_channels: usize,
     out_channels: usize,
@@ -54,6 +53,43 @@ impl Conv1d {
     pub fn output_len(&self, input: usize) -> usize {
         (input + 2 * self.padding - self.kernel) / self.stride + 1
     }
+
+    fn geom(&self, input: &Tensor) -> ConvGeom {
+        let (n, c_in, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
+        ConvGeom::conv1d(
+            n,
+            c_in,
+            l,
+            self.out_channels,
+            self.kernel,
+            self.stride,
+            self.padding,
+        )
+    }
+
+    /// Runs the backward kernels on the cached forward input, forming the input gradient
+    /// only when `input_grad` is set.
+    fn backward_kernels(&mut self, grad_output: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Conv1d::backward called without a cached forward pass");
+        let geom = self.geom(&input);
+        let backend = kernels::default_backend();
+        let Param {
+            value: weight,
+            grad: weight_grad,
+        } = &mut self.weight;
+        let (x, w, g) = (input.data(), weight.data(), grad_output.data());
+        let (gw, gb) = (weight_grad.data_mut(), self.bias.grad.data_mut());
+        if input_grad {
+            let grad_in = kernels::conv::conv_backward(backend, &geom, x, w, g, gw, gb);
+            Some(Tensor::from_vec(grad_in, input.shape()))
+        } else {
+            kernels::conv::conv_backward_params(backend, &geom, x, w, g, gw, gb);
+            None
+        }
+    }
 }
 
 impl Layer for Conv1d {
@@ -68,16 +104,7 @@ impl Layer for Conv1d {
             self.in_channels,
             "Conv1d: channel mismatch"
         );
-        let (n, c_in, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let geom = ConvGeom::conv1d(
-            n,
-            c_in,
-            l,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
+        let geom = self.geom(input);
         let out = kernels::conv::conv_forward(
             kernels::default_backend(),
             &geom,
@@ -86,38 +113,16 @@ impl Layer for Conv1d {
             self.bias.value.data(),
         );
         self.cached_input = Some(input.clone());
-        Tensor::from_vec(out, &[n, self.out_channels, geom.w_out()])
+        Tensor::from_vec(out, &[geom.n, self.out_channels, geom.w_out()])
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Conv1d::backward called without a cached forward pass");
-        let (n, c_in, l) = (input.shape()[0], input.shape()[1], input.shape()[2]);
-        let geom = ConvGeom::conv1d(
-            n,
-            c_in,
-            l,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
-        let Param {
-            value: weight,
-            grad: weight_grad,
-        } = &mut self.weight;
-        let grad_in = kernels::conv::conv_backward(
-            kernels::default_backend(),
-            &geom,
-            input.data(),
-            weight.data(),
-            grad_output.data(),
-            weight_grad.data_mut(),
-            self.bias.grad.data_mut(),
-        );
-        Tensor::from_vec(grad_in, input.shape())
+        self.backward_kernels(grad_output, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_kernels(grad_output, false);
     }
 
     fn params(&self) -> Vec<&Param> {

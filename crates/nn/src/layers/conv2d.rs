@@ -9,8 +9,8 @@ use rand::Rng;
 /// A 2-D convolution over `[batch, in_channels, height, width]` inputs.
 ///
 /// Square kernels, symmetric zero padding, configurable stride. Forward and backward run
-/// through [`crate::kernels::conv`]: an im2col-backed blocked GEMM by default, or the
-/// original direct loop nest under [`kernels::KernelBackend::Naive`].
+/// through [`crate::kernels::conv`]: the direct SIMD kernel by default, or the original
+/// loop nest under [`kernels::KernelBackend::Naive`].
 pub struct Conv2d {
     in_channels: usize,
     out_channels: usize,
@@ -74,6 +74,49 @@ impl Conv2d {
             "Conv2d: input smaller than kernel"
         );
     }
+
+    fn geom(&self, input: &Tensor) -> ConvGeom {
+        let (n, c_in, h, w) = (
+            input.shape()[0],
+            input.shape()[1],
+            input.shape()[2],
+            input.shape()[3],
+        );
+        ConvGeom::conv2d(
+            n,
+            c_in,
+            h,
+            w,
+            self.out_channels,
+            self.kernel,
+            self.stride,
+            self.padding,
+        )
+    }
+
+    /// Runs the backward kernels on the cached forward input, forming the input gradient
+    /// only when `input_grad` is set.
+    fn backward_kernels(&mut self, grad_output: &Tensor, input_grad: bool) -> Option<Tensor> {
+        let input = self
+            .cached_input
+            .take()
+            .expect("Conv2d::backward called without a cached forward pass");
+        let geom = self.geom(&input);
+        let backend = kernels::default_backend();
+        let Param {
+            value: weight,
+            grad: weight_grad,
+        } = &mut self.weight;
+        let (x, w, g) = (input.data(), weight.data(), grad_output.data());
+        let (gw, gb) = (weight_grad.data_mut(), self.bias.grad.data_mut());
+        if input_grad {
+            let grad_in = kernels::conv::conv_backward(backend, &geom, x, w, g, gw, gb);
+            Some(Tensor::from_vec(grad_in, input.shape()))
+        } else {
+            kernels::conv::conv_backward_params(backend, &geom, x, w, g, gw, gb);
+            None
+        }
+    }
 }
 
 impl Layer for Conv2d {
@@ -83,22 +126,7 @@ impl Layer for Conv2d {
 
     fn forward(&mut self, input: &Tensor, _train: bool) -> Tensor {
         self.check_input(input);
-        let (n, c_in, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let geom = ConvGeom::conv2d(
-            n,
-            c_in,
-            h,
-            w,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
+        let geom = self.geom(input);
         let out = kernels::conv::conv_forward(
             kernels::default_backend(),
             &geom,
@@ -107,44 +135,19 @@ impl Layer for Conv2d {
             self.bias.value.data(),
         );
         self.cached_input = Some(input.clone());
-        Tensor::from_vec(out, &[n, self.out_channels, geom.h_out(), geom.w_out()])
+        Tensor::from_vec(
+            out,
+            &[geom.n, self.out_channels, geom.h_out(), geom.w_out()],
+        )
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
-        let input = self
-            .cached_input
-            .take()
-            .expect("Conv2d::backward called without a cached forward pass");
-        let (n, c_in, h, w) = (
-            input.shape()[0],
-            input.shape()[1],
-            input.shape()[2],
-            input.shape()[3],
-        );
-        let geom = ConvGeom::conv2d(
-            n,
-            c_in,
-            h,
-            w,
-            self.out_channels,
-            self.kernel,
-            self.stride,
-            self.padding,
-        );
-        let Param {
-            value: weight,
-            grad: weight_grad,
-        } = &mut self.weight;
-        let grad_in = kernels::conv::conv_backward(
-            kernels::default_backend(),
-            &geom,
-            input.data(),
-            weight.data(),
-            grad_output.data(),
-            weight_grad.data_mut(),
-            self.bias.grad.data_mut(),
-        );
-        Tensor::from_vec(grad_in, input.shape())
+        self.backward_kernels(grad_output, true)
+            .expect("input gradient requested")
+    }
+
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        self.backward_kernels(grad_output, false);
     }
 
     fn params(&self) -> Vec<&Param> {

@@ -76,6 +76,14 @@ pub trait Layer: Send {
     /// cached activations of that forward pass are consumed.
     fn backward(&mut self, grad_output: &Tensor) -> Tensor;
 
+    /// [`Layer::backward`] for a layer whose input gradient nobody reads (a model's first
+    /// layer): accumulates exactly the same parameter gradients. The default runs
+    /// `backward` and drops the result; layers with an input gradient worth skipping
+    /// override it.
+    fn backward_params(&mut self, grad_output: &Tensor) {
+        drop(self.backward(grad_output));
+    }
+
     /// Immutable access to this layer's parameters (may be empty).
     fn params(&self) -> Vec<&Param> {
         Vec::new()

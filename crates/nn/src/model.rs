@@ -76,6 +76,20 @@ impl Sequential {
         g
     }
 
+    /// [`Self::backward`] for a model whose input gradient nobody reads — a worker's bottom
+    /// model, or a whole model trained locally. Parameter gradients are bit-identical to
+    /// `backward`'s; the first layer skips its input gradient.
+    pub fn backward_params(&mut self, grad_output: &Tensor) {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return;
+        };
+        let mut g: Option<Tensor> = None;
+        for layer in rest.iter_mut().rev() {
+            g = Some(layer.backward(g.as_ref().unwrap_or(grad_output)));
+        }
+        first.backward_params(g.as_ref().unwrap_or(grad_output));
+    }
+
     /// Clears all parameter gradients.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
@@ -268,6 +282,46 @@ mod tests {
         let features = bottom.forward(&x, false);
         let y_split = top.forward(&features, false);
         assert_eq!(y_full.data(), y_split.data());
+    }
+
+    #[test]
+    fn backward_params_matches_backward_bit_for_bit() {
+        use crate::layers::{Conv1d, Conv2d, Flatten};
+        let conv2d = |seed| {
+            let mut rng = seeded(seed);
+            Sequential::new()
+                .push(Box::new(Conv2d::new(&mut rng, 3, 5, 3, 1, 1)))
+                .push(Box::new(Relu::new()))
+                .push(Box::new(Conv2d::new(&mut rng, 5, 4, 3, 2, 0)))
+                .push(Box::new(Flatten::new()))
+        };
+        let conv1d = |seed| {
+            let mut rng = seeded(seed);
+            Sequential::new()
+                .push(Box::new(Conv1d::new(&mut rng, 2, 6, 5, 1, 2)))
+                .push(Box::new(Relu::new()))
+                .push(Box::new(Conv1d::new(&mut rng, 6, 3, 3, 1, 1)))
+        };
+        let cases: [(Sequential, Sequential, Vec<usize>); 3] = [
+            (conv2d(7), conv2d(7), vec![2, 3, 7, 6]),
+            (conv1d(8), conv1d(8), vec![3, 2, 11]),
+            (tiny_mlp(9), tiny_mlp(9), vec![5, 4]),
+        ];
+        for (mut full, mut params_only, shape) in cases {
+            let len = shape.iter().product();
+            let x = Tensor::from_vec((0..len).map(|i| (i as f32 * 0.37).sin()).collect(), &shape);
+            let y = full.forward(&x, true);
+            let g = Tensor::from_vec(
+                (0..y.len()).map(|i| (i as f32 * 0.11).cos()).collect(),
+                y.shape(),
+            );
+            full.backward(&g);
+            params_only.forward(&x, true);
+            params_only.backward_params(&g);
+            assert_eq!(full.grad_state(), params_only.grad_state());
+        }
+        // An empty model has no gradients to accumulate.
+        Sequential::new().backward_params(&Tensor::ones(&[1, 2]));
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Pooled tensor memory: size-classed free lists of exclusive pages.
 //!
 //! Every training iteration used to allocate fresh heap storage for activations,
-//! gradients, GEMM packing panels, im2col scratch and merge buffers. This module keeps
+//! gradients, GEMM packing panels, conv staging and merge buffers. This module keeps
 //! those buffers alive between iterations instead: a checkout rounds the requested
 //! length up to a power-of-two *size class* and pops an exclusive page from a free
 //! list (the CubeCL `exclusive_pool` scheme — one owner per page, no sub-allocation),
@@ -245,7 +245,7 @@ poolable!(usize, LOCAL_USIZE, RESERVOIR_USIZE);
 
 /// Checks a page out of the pool for `len` elements with **unspecified contents**
 /// (stale values from its previous owner). Only use when every element in `0..len` is
-/// written before being read — the GEMM pack panels, im2col scratch and elementwise
+/// written before being read — the GEMM pack panels, conv scratch and elementwise
 /// producers all qualify. Contents are unspecified but always initialised memory, so
 /// this is safe; it just isn't zeroed.
 pub fn take_uninit<T: Poolable>(len: usize) -> Vec<T> {

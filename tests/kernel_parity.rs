@@ -1,19 +1,21 @@
 //! Property tests: the blocked kernel backend against the naive oracle.
 //!
-//! The blocked GEMM and the im2col convolution accumulate every output element, weight
-//! gradient and bias gradient in exactly the same ascending-`k` order as the naive loop
-//! nests, so those results must be **bit-identical** across backends on finite inputs.
-//! The one reassociated reduction — the conv input gradient, whose `col2im` scatter sums
-//! kernel taps in a different order than the naive nest — is held to a few-ULP relative
-//! tolerance instead.
+//! The blocked GEMM and the direct convolution kernel accumulate every output element,
+//! weight gradient and bias gradient in exactly the same order as the naive loop nests, so
+//! those results must be **bit-identical** across backends on finite inputs. The one
+//! reassociated reduction — the conv input gradient, which the direct kernel sums per
+//! output position and the naive nest per output channel — is held to a few-ULP relative
+//! tolerance instead. Every SIMD instantiation of the direct conv and pooling kernels the
+//! host supports must match the portable one bit for bit.
 //!
 //! Shapes, strides and paddings are drawn randomly, and the degenerate corners (1×1
 //! kernels, 1×1 images, empty batches, `k = 0` products) get dedicated cases below.
 
-use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
+use mergesfl_nn::kernels::conv::{conv_backward, conv_backward_params, conv_forward, ConvGeom};
+use mergesfl_nn::kernels::pool::maxpool_forward;
 use mergesfl_nn::kernels::{
-    gemm_cfg, gemm_with_scheme, runtime, Epilogue, GemmPlan, KernelBackend, MicroSelect,
-    PartitionSize, Staging, TilingScheme, Trans, ALL_MICRO_KERNELS,
+    gemm_cfg, gemm_with_scheme, runtime, set_micro_override, Epilogue, GemmPlan, KernelBackend,
+    MicroKernelId, MicroSelect, PartitionSize, Staging, TilingScheme, Trans, ALL_MICRO_KERNELS,
 };
 use proptest::prelude::*;
 
@@ -346,5 +348,161 @@ proptest! {
                 scheme.validate();
             }
         }
+    }
+}
+
+/// Deterministic test data in [-1.5, 1.5).
+fn wave(len: usize, phase: f32) -> Vec<f32> {
+    (0..len)
+        .map(|i| ((i as f32) * 0.731 + phase).sin() * 1.5)
+        .collect()
+}
+
+/// Everything one conv call computes, for bitwise comparisons.
+#[derive(Debug, PartialEq)]
+struct ConvRun {
+    y: Vec<f32>,
+    grad_w: Vec<f32>,
+    grad_b: Vec<f32>,
+    grad_in: Vec<f32>,
+}
+
+fn conv_run(backend: KernelBackend, geom: &ConvGeom) -> ConvRun {
+    let (x_len, w_len, b_len, out_len) = conv_sizes(geom);
+    let (x, weight, bias) = (wave(x_len, 0.1), wave(w_len, 0.7), wave(b_len, 1.3));
+    let grad_out = wave(out_len, 2.9);
+    let y = conv_forward(backend, geom, &x, &weight, &bias);
+    // Start the accumulators from non-zero values, as a second backward pass would.
+    let (mut grad_w, mut grad_b) = (wave(w_len, 3.7), wave(b_len, 4.1));
+    let grad_in = conv_backward(
+        backend,
+        geom,
+        &x,
+        &weight,
+        &grad_out,
+        &mut grad_w,
+        &mut grad_b,
+    );
+    // The parameter-only pass accumulates the same bits.
+    let (mut gw_params, mut gb_params) = (wave(w_len, 3.7), wave(b_len, 4.1));
+    conv_backward_params(
+        backend,
+        geom,
+        &x,
+        &weight,
+        &grad_out,
+        &mut gw_params,
+        &mut gb_params,
+    );
+    assert_eq!(grad_w, gw_params, "params-only grad_w for {geom:?}");
+    assert_eq!(grad_b, gb_params, "params-only grad_b for {geom:?}");
+    ConvRun {
+        y,
+        grad_w,
+        grad_b,
+        grad_in,
+    }
+}
+
+/// Geometries the random properties rarely reach: strides and paddings the zoo never
+/// uses, non-square inputs, 1-D, empty and single-image batches, and channel counts that
+/// are not multiples of any vector width or register block.
+fn edge_geometries() -> Vec<ConvGeom> {
+    let mut geoms = Vec::new();
+    for c_out in [5, 12, 24] {
+        geoms.push(ConvGeom::conv2d(2, 3, 9, 7, c_out, 3, 2, 1));
+        geoms.push(ConvGeom::conv2d(1, 5, 6, 11, c_out, 3, 1, 0));
+        geoms.push(ConvGeom::conv2d(3, 2, 5, 4, c_out, 5, 1, 2));
+        geoms.push(ConvGeom::conv2d(2, 4, 8, 8, c_out, 3, 2, 2));
+        geoms.push(ConvGeom::conv1d(2, 3, 19, c_out, 5, 2, 2));
+        geoms.push(ConvGeom::conv1d(1, 6, 12, c_out, 3, 1, 0));
+    }
+    // The zoo's own shapes, at one image and at a training batch.
+    for n in [1, 7] {
+        geoms.push(ConvGeom::conv2d(n, 3, 16, 16, 8, 3, 1, 1));
+        geoms.push(ConvGeom::conv2d(n, 8, 8, 8, 16, 3, 1, 1));
+        geoms.push(ConvGeom::conv2d(n, 16, 4, 4, 16, 3, 1, 1));
+        geoms.push(ConvGeom::conv1d(n, 1, 64, 8, 5, 1, 2));
+        geoms.push(ConvGeom::conv1d(n, 8, 32, 12, 3, 1, 1));
+    }
+    geoms.push(ConvGeom::conv2d(0, 3, 6, 5, 12, 3, 2, 1));
+    geoms.push(ConvGeom::conv1d(0, 2, 9, 5, 3, 1, 1));
+    geoms
+}
+
+#[test]
+fn direct_conv_matches_naive_on_edge_geometries() {
+    for geom in edge_geometries() {
+        let naive = conv_run(KernelBackend::Naive, &geom);
+        let direct = conv_run(KernelBackend::Blocked, &geom);
+        assert_eq!(naive.y, direct.y, "forward diverged for {geom:?}");
+        assert_eq!(naive.grad_w, direct.grad_w, "grad_w diverged for {geom:?}");
+        assert_eq!(naive.grad_b, direct.grad_b, "grad_b diverged for {geom:?}");
+        assert_eq!(naive.grad_in.len(), direct.grad_in.len());
+        for (i, (a, b)) in naive.grad_in.iter().zip(&direct.grad_in).enumerate() {
+            assert!(
+                (a - b).abs() <= 1e-5 * (1.0 + a.abs()),
+                "grad_in diverged at {i} for {geom:?}: {a} vs {b}"
+            );
+        }
+    }
+}
+
+/// Restores the micro-kernel policy a test found, so a forced CI cell keeps its kernel
+/// for the tests that run after this one.
+struct RestoreMicro(MicroSelect);
+
+impl Drop for RestoreMicro {
+    fn drop(&mut self) {
+        set_micro_override(match self.0 {
+            MicroSelect::Force(id) => Some(id),
+            MicroSelect::Auto => None,
+        });
+    }
+}
+
+/// Every SIMD instantiation of the direct conv and pooling kernels that this host can run
+/// produces the portable instantiation's bits, including the input gradient.
+#[test]
+fn every_simd_instantiation_matches_portable_bitwise() {
+    let _restore = RestoreMicro(mergesfl_nn::kernels::runtime::micro_select());
+    let nan = f32::NAN;
+    let mut pool_x = wave(4 * 9 * 10, 5.3);
+    // Ties, NaN and -inf windows exercise the argmax rules.
+    pool_x[..4].copy_from_slice(&[0.5, 0.5, 0.5, 0.5]);
+    pool_x[40..44].copy_from_slice(&[nan, nan, nan, nan]);
+    pool_x[60] = f32::NEG_INFINITY;
+    let run_all = |id: MicroKernelId| {
+        set_micro_override(Some(id));
+        let convs: Vec<ConvRun> = edge_geometries()
+            .iter()
+            .map(|g| conv_run(KernelBackend::Blocked, g))
+            .collect();
+        let pools = [(9, 10, 2, 2), (1, 90, 1, 2), (9, 10, 3, 3), (9, 10, 1, 3)]
+            .map(|(h, w, kh, kw)| maxpool_forward(&pool_x, pool_x.len() / (h * w), h, w, kh, kw));
+        // NaN never compares equal, so compare the pooled values by their bits.
+        let pools =
+            pools.map(|(out, arg)| (out.iter().map(|v| v.to_bits()).collect::<Vec<_>>(), arg));
+        (convs, pools)
+    };
+    let portable = run_all(MicroKernelId::Portable);
+    for id in ALL_MICRO_KERNELS {
+        if id == MicroKernelId::Portable {
+            continue;
+        }
+        if !id.is_available() {
+            println!("skipping {}: not available on this host", id.name());
+            continue;
+        }
+        let simd = run_all(id);
+        for (g, (want, got)) in edge_geometries().iter().zip(portable.0.iter().zip(&simd.0)) {
+            assert_eq!(want, got, "{} diverged from portable for {g:?}", id.name());
+        }
+        assert_eq!(
+            portable.1,
+            simd.1,
+            "{} pooling diverged from portable",
+            id.name()
+        );
     }
 }
