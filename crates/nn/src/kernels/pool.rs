@@ -103,19 +103,21 @@ impl Multiversion for PoolRows<'_> {
 }
 
 impl PoolRows<'_> {
-    /// Index in `x` of the first input element of the call's output row `r`.
+    /// Index in `x` of the first input element of each of the call's output rows.
     #[inline(always)]
-    fn row_start(&self, r: usize, h_out: usize) -> usize {
-        self.base + (r / h_out) * self.h * self.w + (r % h_out) * self.kh * self.w
+    fn row_starts(&self, kh: usize, kw: usize) -> impl Iterator<Item = usize> {
+        let (h_out, w_out) = (self.h / kh, self.w / kw);
+        let (base, plane, row) = (self.base, self.h * self.w, kh * self.w);
+        let planes = self.out.len() / (h_out * w_out);
+        (0..planes).flat_map(move |p| (0..h_out).map(move |oy| base + p * plane + oy * row))
     }
 
     /// `KH × KW` windows: each window folds in registers, without branches, and the loop
     /// over a row's windows vectorises.
     #[inline(always)]
     fn fixed_windows<const KH: usize, const KW: usize>(&mut self) {
-        let (h_out, w_out) = (self.h / KH, self.w / KW);
-        for r in 0..self.out.len() / w_out {
-            let row0 = self.row_start(r, h_out);
+        let w_out = self.w / KW;
+        for (r, row0) in self.row_starts(KH, KW).enumerate() {
             let rows: [&[[f32; KW]]; KH] = std::array::from_fn(|ky| {
                 let start = row0 + ky * self.w;
                 &self.x[start..start + w_out * KW].as_chunks::<KW>().0[..w_out]
@@ -145,9 +147,8 @@ impl PoolRows<'_> {
     #[inline(always)]
     fn any_windows(&mut self) {
         let (kh, kw, w) = (self.kh, self.kw, self.w);
-        let (h_out, w_out) = (self.h / kh, w / kw);
-        for r in 0..self.out.len() / w_out {
-            let row0 = self.row_start(r, h_out);
+        let w_out = w / kw;
+        for (r, row0) in self.row_starts(kh, kw).enumerate() {
             let out = &mut self.out[r * w_out..][..w_out];
             let arg = &mut self.argmax[r * w_out..][..w_out];
             for (ox, (m, a)) in out.iter_mut().zip(arg.iter_mut()).enumerate() {
