@@ -9,6 +9,7 @@
 //! serialise on one mutex — the byte counter is process-global.
 
 use mergesfl::config::RunConfig;
+use mergesfl::sfl::ShardTopology;
 use mergesfl::experiment::{run, Approach};
 use mergesfl::sfl::{SflEngine, SflStrategy};
 use mergesfl_data::DatasetKind;
@@ -164,4 +165,71 @@ fn churned_fleet_runs_are_deterministic_and_report_the_fleet_gauges() {
         touches.windows(2).any(|w| w[0] != w[1]),
         "state touches {touches:?} never varied — churn appears inert"
     );
+}
+
+#[test]
+fn skipped_rounds_charge_only_the_due_sync_in_every_schedule() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    // A one-client cohort under 90% mid-round dropout empties most rounds. Two
+    // replicated shards syncing every second round make some of those skipped rounds
+    // pay a cross-shard sync, and some not.
+    let config = |pipeline: bool, staleness: usize| {
+        let mut c = RunConfig::quick(DatasetKind::Har, 5.0, 3);
+        c.num_workers = 8;
+        c.participants_per_round = 1;
+        c.rounds = 20;
+        c.local_iterations = Some(1);
+        c.train_size = Some(400);
+        c.eval_every = 1;
+        c.eval_samples = 60;
+        c.fleet = Some(1_000);
+        c.churn = true;
+        c.churn_dropout = 0.9;
+        c.num_servers = 2;
+        c.topology = ShardTopology::Replicated;
+        c.sync_every = 2;
+        c.pipeline = pipeline;
+        c.staleness = staleness;
+        c
+    };
+    for staleness in [0, 1] {
+        let barrier = run(Approach::MergeSfl, &config(false, staleness));
+        let pipelined = run(Approach::MergeSfl, &config(true, staleness));
+        for result in [&barrier, &pipelined] {
+            let mut skipped = 0;
+            let mut trained = 0;
+            let mut previous_time = 0.0;
+            for r in &result.records {
+                if r.participants == 0 {
+                    skipped += 1;
+                    let at = format!("staleness {staleness}, round {}", r.round);
+                    assert_eq!(r.accuracy, None, "{at}");
+                    assert_eq!(r.train_loss, 0.0, "{at}");
+                    assert_eq!(r.round_makespan_barrier, r.cross_sync_seconds, "{at}");
+                    assert_eq!(r.round_makespan_pipelined, r.cross_sync_seconds, "{at}");
+                    assert!(r.shards.is_empty(), "{at}");
+                    assert!(r.version_lag.is_empty(), "{at}");
+                    assert_eq!(r.sim_time, previous_time + r.cross_sync_seconds, "{at}");
+                } else {
+                    trained += 1;
+                }
+                previous_time = r.sim_time;
+            }
+            assert!(skipped > 0, "staleness {staleness}: no round was skipped");
+            assert!(trained > 0, "staleness {staleness}: no round trained");
+        }
+        // The schedule only changes which makespan advances the clock.
+        let without_time = |records: &[mergesfl::RoundRecord]| {
+            let mut records = records.to_vec();
+            for r in &mut records {
+                r.sim_time = 0.0;
+            }
+            records
+        };
+        assert_eq!(
+            without_time(&barrier.records),
+            without_time(&pipelined.records),
+            "staleness {staleness}: barrier and pipelined runs diverged"
+        );
+    }
 }
