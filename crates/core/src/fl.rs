@@ -161,7 +161,7 @@ impl FlEngine {
             train,
             test,
             cluster,
-            clock: SimClock::with_pipelining(config.pipeline),
+            clock: SimClock::with_schedule(config.pipeline, 0),
             traffic: TrafficMeter::new(),
             estimator: StateEstimator::new(config.num_workers, config.estimate_alpha as f64),
             tracker: ParticipationTracker::new(config.num_workers),
@@ -226,41 +226,9 @@ impl FlEngine {
                 .observe_worker(state.worker_id, state.full_compute_per_sample, 0.0);
         }
         let selected = self.select_cohort();
-        if selected.is_empty() {
-            // Selection is validated to produce at least one worker; guard the degenerate
-            // case anyway with a logged, skipped round instead of panicking downstream.
-            eprintln!("[mergesfl] round {round}: empty FL cohort; skipping round");
-            let pool = mergesfl_nn::pool::stats();
-            self.result.push(RoundRecord {
-                round,
-                sim_time: self.clock.elapsed_seconds(),
-                accuracy: None,
-                train_loss: 0.0,
-                avg_waiting_time: 0.0,
-                round_makespan_barrier: 0.0,
-                round_makespan_pipelined: 0.0,
-                traffic_mb: self.traffic.total_megabytes(),
-                participants: 0,
-                total_batch: 0,
-                cohort_kl: 0.0,
-                // The FL baselines always run in the classic dense regime: every
-                // registered worker is observed every round.
-                fleet_registered: self.config.num_workers,
-                fleet_active: self.config.num_workers,
-                shards: Vec::new(),
-                topology: Default::default(),
-                exchange_bytes: 0.0,
-                cross_sync_seconds: 0.0,
-                server_gflops: mergesfl_simnet::profile::SERVER_GFLOPS,
-                server_critical_fraction: mergesfl_simnet::profile::SERVER_CRITICAL_FRACTION,
-                staleness: 0,
-                version_lag: Vec::new(),
-                pool_pages: pool.pages as usize,
-                pool_bytes: pool.bytes as usize,
-                pool_hit_rate: pool.since(&pool_mark).hit_rate(),
-            });
-            return;
-        }
+        // `validate` guarantees `participants_per_round >= 1`, and both selectors
+        // return exactly that many of the `num_workers >= participants_per_round` workers.
+        assert!(!selected.is_empty(), "FL round {round}: empty cohort");
         let lr = self.lr_schedule.at_round(round);
 
         // Broadcast the global model, run local training (optionally fanned out across

@@ -5,6 +5,15 @@
 //! configured number of communication rounds. Which of the paper's SFL-family approaches it
 //! realises is decided by an [`SflStrategy`]: MergeSFL enables every mechanism, the
 //! ablations and baselines switch individual mechanisms off.
+//!
+//! Every iteration is one fixed sequence: the workers run their bottom models, the server
+//! half (`ServerStage::iteration`) merges each route group's uploads, runs its
+//! dispatch-critical step, hands the plan-ordered split-layer gradients back and then
+//! runs every group's optimizer tail, and the workers apply the gradients. The barrier
+//! schedule calls the server half inline; the pipelined schedule runs the workers on a
+//! stage thread joined to it by two bounded channels, so the optimizer tails overlap the
+//! workers' backward and next forward. Every round, trained or skipped because its
+//! cohort emptied, ends with the same sync accounting and writes one [`RoundRecord`].
 
 use crate::calibrate::ServerCostModel;
 use crate::config::RunConfig;
@@ -390,171 +399,17 @@ impl SflEngine {
                 "[mergesfl] round {round}: {departed} selected client(s) dropped out mid-round"
             );
         }
-        if plan.selected.is_empty() {
+        // An empty cohort trains nothing, but the round still ends: it counts toward the
+        // sync period (replicas trained in earlier rounds must not drift past the
+        // `sync_every` contract because this round's plan degenerated), and it is
+        // recorded. No worker timing exists, so the clock advances by the sync alone.
+        let skipped = plan.selected.is_empty();
+        let loss_sum = if skipped {
             eprintln!("[mergesfl] round {round}: empty cohort after sanitising; skipping round");
-            // A skipped round still counts toward the sync period: replicas trained in
-            // earlier rounds must not drift past the `sync_every` contract just because
-            // this round's plan degenerated. The sync's cost is recorded; no worker
-            // timing exists to advance the clock by.
-            let synced = self.server.end_round(round);
-            let cross_sync_seconds = if synced {
-                self.cluster
-                    .profile()
-                    .cross_shard_sync_seconds(self.server.num_shards())
-            } else {
-                0.0
-            };
-            if synced {
-                let sync_bytes = self
-                    .cluster
-                    .profile()
-                    .cross_shard_sync_bytes(self.server.num_shards());
-                self.traffic
-                    .record(TrafficCategory::ServerExchange, sync_bytes);
-            }
-            self.clock.advance_by(cross_sync_seconds);
-            let pool = mergesfl_nn::pool::stats();
-            self.result.push(RoundRecord {
-                round,
-                sim_time: self.clock.elapsed_seconds(),
-                accuracy: None,
-                train_loss: 0.0,
-                avg_waiting_time: 0.0,
-                round_makespan_barrier: cross_sync_seconds,
-                round_makespan_pipelined: cross_sync_seconds,
-                traffic_mb: self.traffic.total_megabytes(),
-                participants: 0,
-                total_batch: 0,
-                cohort_kl: plan.cohort_kl,
-                fleet_registered: self.config.fleet_size(),
-                fleet_active: plan.records_touched,
-                shards: Vec::new(),
-                topology: self.server.topology(),
-                exchange_bytes: 0.0,
-                cross_sync_seconds,
-                server_gflops: self.cost_model.gflops,
-                server_critical_fraction: self.cost_model.critical_fraction,
-                staleness: self.config.staleness,
-                version_lag: Vec::new(),
-                pool_pages: pool.pages as usize,
-                pool_bytes: pool.bytes as usize,
-                pool_hit_rate: pool.since(&pool_mark).hit_rate(),
-            });
-            return;
-        }
-
-        // --- Fleet mode: state collection and worker materialization touch only the
-        // cohort. The selected members' device state feeds the estimator for the *next*
-        // round's plan (the classic event-driven trade: estimates lag one round for
-        // never-polled clients), and their training state is built on demand — per-round
-        // memory and compute scale with the cohort, not the registered fleet.
-        if fleet_mode {
-            for &w in &plan.selected {
-                let state = self.cluster.worker_state(w);
-                self.control.observe_worker(
-                    w,
-                    state.bottom_compute_per_sample,
-                    state.transfer_per_sample,
-                );
-            }
-        }
-        let mut fleet_cohort: Vec<SflWorker> = if fleet_mode {
-            self.materialize_cohort(&plan.selected, round)
+            0.0
         } else {
-            Vec::new()
+            self.train_cohort(&plan, round)
         };
-
-        // --- Training module. ---
-        let lr = self.lr_schedule.at_round(round);
-        let reference_batch = (plan.total_batch() / plan.selected.len().max(1)).max(1);
-        // With feature merging the top model takes ONE step per iteration on the merged
-        // batch (normalised by Σ d_i), whereas typical SFL takes one step per worker (each
-        // normalised by d_i). The merged step keeps the base learning rate: scaling it with
-        // the number of merged mini-batches (the linear-scaling rule) was measured to
-        // destabilise early rounds at quick scale — gradient spikes on the merged batch
-        // saturate the top model before clipping can help. The merged update therefore
-        // trades raw step count for the unbiased direction merging provides (Fig. 4).
-        self.server.set_lr(lr);
-
-        // --- Worker training, optionally fanned out across threads and/or staged through
-        // the round pipeline. The block scopes the mutable borrows of `self.workers` so
-        // the timing/eval sections below can use `&self` methods again. All execution
-        // modes are bit-identical: every worker owns its derived-seed RNG, uploads and
-        // gradient applications are always handled in cohort (plan) order, and the
-        // server-side reduction processes iterations strictly in order — parallelism and
-        // pipelining only change scheduling, never arithmetic order.
-        let parallel = self.config.parallel;
-        let merging = self.strategy.feature_merging;
-        let total_batch = plan.total_batch();
-        let iteration = IterationParams {
-            lr,
-            total_batch,
-            reference_batch,
-            merging,
-            parallel,
-        };
-        let loss_sum: f32;
-        {
-            let train = &self.train;
-            let server = &mut self.server;
-            let traffic = &mut self.traffic;
-            let feature_bytes = self.cluster.profile().feature_bytes_per_sample;
-            // Pull `&mut` references to the cohort's workers out in plan order, each
-            // borrowed at most once so they can fan out to threads. Fleet mode trains
-            // the on-demand cohort; the dense path borrows the persistent workers.
-            let mut cohort: Vec<&mut SflWorker> = if fleet_mode {
-                fleet_cohort.iter_mut().collect()
-            } else {
-                crate::util::select_disjoint_mut(&mut self.workers, &plan.selected)
-            };
-
-            // Broadcast the latest global bottom model to the selected workers.
-            let global = server.global_bottom().to_vec();
-            for worker in cohort.iter_mut() {
-                worker.load_bottom(&global);
-                traffic.record(TrafficCategory::BottomModel, self.bottom_param_bytes);
-            }
-
-            if self.config.pipeline {
-                loss_sum = run_iterations_pipelined(
-                    cohort.as_mut_slice(),
-                    train,
-                    server,
-                    traffic,
-                    feature_bytes,
-                    &plan,
-                    tau,
-                    &iteration,
-                );
-            } else {
-                loss_sum = run_iterations_barrier(
-                    cohort.as_mut_slice(),
-                    train,
-                    server,
-                    traffic,
-                    feature_bytes,
-                    &plan,
-                    tau,
-                    &iteration,
-                );
-            }
-
-            // Bottom-model aggregation (Eq. 17 with batch-size weights, Eq. 4 otherwise).
-            let states: Vec<Vec<f32>> = cohort.iter().map(|w| w.bottom_state()).collect();
-            let weights: Vec<f32> = if self.strategy.weighted_aggregation {
-                plan.batch_sizes.iter().map(|&d| d as f32).collect()
-            } else {
-                vec![1.0; plan.selected.len()]
-            };
-            server.aggregate_bottoms(&states, &weights);
-            for state in states {
-                mergesfl_nn::pool::recycle(state);
-            }
-            for _ in &plan.selected {
-                traffic.record(TrafficCategory::BottomModel, self.bottom_param_bytes);
-            }
-        }
-        self.control.record_participation(&plan.selected);
 
         // --- Server-plane accounting at the round boundary. Replicated topology:
         // periodically average the shard top models (weighted by samples each shard
@@ -597,44 +452,159 @@ impl SflEngine {
         // --- Simulated timing (Eq. 7–8, plus the per-shard stage breakdown for the
         // pipelined makespan). The clock advances by the schedule the run is configured
         // for; both makespans are recorded so one run reports the pipeline's win.
-        let (timing, shard_breakdown) = self.round_timing(&plan, tau, cross_sync_seconds);
-        self.clock.advance_round(&timing);
+        let timing = (!skipped).then(|| self.round_timing(&plan, tau, cross_sync_seconds));
+        match &timing {
+            Some((timing, _)) => {
+                self.clock.advance_round(timing);
+            }
+            None => self.clock.advance_by(cross_sync_seconds),
+        }
 
         // --- Evaluation and bookkeeping. ---
-        let evaluate =
-            round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
-        let accuracy = if evaluate {
-            Some(self.evaluate_global())
+        let evaluate = !skipped
+            && (round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds);
+        let accuracy = evaluate.then(|| self.evaluate_global());
+        let version_lag = if skipped {
+            Vec::new()
         } else {
-            None
+            self.server.take_lag_counts()
         };
+        let (avg_waiting_time, round_makespan_barrier, round_makespan_pipelined, shards) =
+            match timing {
+                Some((timing, shards)) => (
+                    timing.average_waiting_time(),
+                    timing.barrier_completion_time(),
+                    timing.pipelined_completion_time(),
+                    shards,
+                ),
+                None => (0.0, cross_sync_seconds, cross_sync_seconds, Vec::new()),
+            };
         let pool = mergesfl_nn::pool::stats();
         self.result.push(RoundRecord {
             round,
             sim_time: self.clock.elapsed_seconds(),
             accuracy,
             train_loss: loss_sum / tau as f32,
-            avg_waiting_time: timing.average_waiting_time(),
-            round_makespan_barrier: timing.barrier_completion_time(),
-            round_makespan_pipelined: timing.pipelined_completion_time(),
+            avg_waiting_time,
+            round_makespan_barrier,
+            round_makespan_pipelined,
             traffic_mb: self.traffic.total_megabytes(),
             participants: plan.selected.len(),
             total_batch: plan.total_batch(),
             cohort_kl: plan.cohort_kl,
             fleet_registered: self.config.fleet_size(),
             fleet_active: plan.records_touched,
-            shards: shard_breakdown,
+            shards,
             topology: self.server.topology(),
             exchange_bytes,
             cross_sync_seconds,
             server_gflops: self.cost_model.gflops,
             server_critical_fraction: self.cost_model.critical_fraction,
             staleness: self.config.staleness,
-            version_lag: self.server.take_lag_counts(),
+            version_lag,
             pool_pages: pool.pages as usize,
             pool_bytes: pool.bytes as usize,
             pool_hit_rate: pool.since(&pool_mark).hit_rate(),
         });
+    }
+
+    /// Trains the plan's (non-empty) cohort for one round: materialises fleet-mode
+    /// workers, broadcasts the global bottom, runs the round's `τ` iterations in the
+    /// configured schedule and aggregates the bottoms. Returns the summed iteration
+    /// losses.
+    fn train_cohort(&mut self, plan: &RoundPlan, round: usize) -> f32 {
+        let tau = self.config.tau();
+        let fleet_mode = self.config.fleet_mode();
+        // --- Fleet mode: state collection and worker materialization touch only the
+        // cohort. The selected members' device state feeds the estimator for the *next*
+        // round's plan (the classic event-driven trade: estimates lag one round for
+        // never-polled clients), and their training state is built on demand — per-round
+        // memory and compute scale with the cohort, not the registered fleet.
+        if fleet_mode {
+            for &w in &plan.selected {
+                let state = self.cluster.worker_state(w);
+                self.control.observe_worker(
+                    w,
+                    state.bottom_compute_per_sample,
+                    state.transfer_per_sample,
+                );
+            }
+        }
+        let mut fleet_cohort: Vec<SflWorker> = if fleet_mode {
+            self.materialize_cohort(&plan.selected, round)
+        } else {
+            Vec::new()
+        };
+
+        // --- Training module. ---
+        let lr = self.lr_schedule.at_round(round);
+        let reference_batch = (plan.total_batch() / plan.selected.len().max(1)).max(1);
+        // With feature merging the top model takes ONE step per iteration on the merged
+        // batch (normalised by Σ d_i), whereas typical SFL takes one step per worker (each
+        // normalised by d_i). The merged step keeps the base learning rate: scaling it with
+        // the number of merged mini-batches (the linear-scaling rule) was measured to
+        // destabilise early rounds at quick scale — gradient spikes on the merged batch
+        // saturate the top model before clipping can help. The merged update therefore
+        // trades raw step count for the unbiased direction merging provides (Fig. 4).
+        self.server.set_lr(lr);
+
+        // --- Worker training, optionally fanned out across threads and/or staged through
+        // the round pipeline. All execution modes are bit-identical: every worker owns its
+        // derived-seed RNG, uploads and gradient applications are always handled in
+        // cohort (plan) order, and the server-side reduction processes iterations
+        // strictly in order — parallelism and pipelining only change scheduling, never
+        // arithmetic order.
+        let iteration = IterationParams {
+            lr,
+            total_batch: plan.total_batch(),
+            reference_batch,
+            merging: self.strategy.feature_merging,
+            parallel: self.config.parallel,
+            pipeline: self.config.pipeline,
+        };
+        // Pull `&mut` references to the cohort's workers out in plan order, each borrowed
+        // at most once so they can fan out to threads. Fleet mode trains the on-demand
+        // cohort; the dense path borrows the persistent workers.
+        let mut cohort: Vec<&mut SflWorker> = if fleet_mode {
+            fleet_cohort.iter_mut().collect()
+        } else {
+            crate::util::select_disjoint_mut(&mut self.workers, &plan.selected)
+        };
+
+        // Broadcast the latest global bottom model to the selected workers.
+        let global = self.server.global_bottom().to_vec();
+        for worker in cohort.iter_mut() {
+            worker.load_bottom(&global);
+            self.traffic
+                .record(TrafficCategory::BottomModel, self.bottom_param_bytes);
+        }
+
+        let stage = ServerStage {
+            server: &mut self.server,
+            traffic: &mut self.traffic,
+            feature_bytes: self.cluster.profile().feature_bytes_per_sample,
+            plan,
+            merging: iteration.merging,
+        };
+        let loss_sum = run_iterations(cohort.as_mut_slice(), &self.train, stage, tau, &iteration);
+
+        // Bottom-model aggregation (Eq. 17 with batch-size weights, Eq. 4 otherwise).
+        let states: Vec<Vec<f32>> = cohort.iter().map(|w| w.bottom_state()).collect();
+        let weights: Vec<f32> = if self.strategy.weighted_aggregation {
+            plan.batch_sizes.iter().map(|&d| d as f32).collect()
+        } else {
+            vec![1.0; plan.selected.len()]
+        };
+        self.server.aggregate_bottoms(&states, &weights);
+        for state in states {
+            mergesfl_nn::pool::recycle(state);
+        }
+        for _ in &plan.selected {
+            self.traffic
+                .record(TrafficCategory::BottomModel, self.bottom_param_bytes);
+        }
+        self.control.record_participation(&plan.selected);
+        loss_sum
     }
 
     /// Builds the cohort's training state on demand for a fleet-mode round: one
@@ -807,6 +777,7 @@ struct IterationParams {
     reference_batch: usize,
     merging: bool,
     parallel: bool,
+    pipeline: bool,
 }
 
 /// One iteration's worker forward passes, producing feature uploads in plan order.
@@ -909,100 +880,112 @@ fn routed_uploads<'a>(
     }
 }
 
-/// Combines per-shard iteration losses (each a mean over the shard's merged samples)
-/// into the iteration's sample-weighted mean loss. A single shard passes its loss
-/// through untouched, keeping single-server trajectories bit-identical.
-fn combine_shard_losses(per_shard: &[(f32, usize)]) -> f32 {
-    match per_shard {
+/// Combines per-group iteration losses (each a mean over the group's `samples`) into the
+/// iteration's sample-weighted mean loss. A single group passes its loss through
+/// untouched, keeping single-server trajectories bit-identical.
+fn combine_shard_losses(per_group: &[GroupStep]) -> f32 {
+    match per_group {
         [] => 0.0,
-        [(loss, _)] => *loss,
+        [one] => one.loss,
         many => {
-            let total: usize = many.iter().map(|(_, n)| n).sum();
-            let weighted: f32 = many.iter().map(|&(l, n)| l * n as f32).sum();
+            let total: usize = many.iter().map(|g| g.samples).sum();
+            let weighted: f32 = many.iter().map(|g| g.loss * g.samples as f32).sum();
             weighted / total.max(1) as f32
         }
     }
 }
 
-/// The server side of one iteration: every route group processes its share of the
-/// uploads (one merged top-model update per replicated shard — or one exact partitioned
-/// step over the full cohort — or per-worker sequential updates without merging) and
-/// dispatches split-layer gradients, which are reordered into plan order. Returns the
-/// iteration's sample-weighted loss and the aligned gradients.
-fn server_iteration(
-    server: &mut ShardedServer,
-    uploads: &[FeatureUpload],
-    plan: &RoundPlan,
+/// One active route group's share of an iteration.
+struct GroupStep {
+    group: usize,
+    loss: f32,
+    samples: usize,
+}
+
+/// The server half of an iteration, shared by both schedules: what the parameter server
+/// owns while the workers wait for their split-layer gradients.
+struct ServerStage<'a> {
+    server: &'a mut ShardedServer,
+    traffic: &'a mut TrafficMeter,
+    feature_bytes: f64,
+    plan: &'a RoundPlan,
     merging: bool,
-) -> (f32, Vec<Option<Tensor>>) {
-    let mut gradients: Vec<(usize, Tensor)> = Vec::with_capacity(uploads.len());
-    let mut shard_losses: Vec<(f32, usize)> = Vec::with_capacity(plan.route_groups());
-    for shard in 0..plan.route_groups() {
-        let routed = routed_uploads(uploads, plan, shard);
-        if routed.is_empty() {
-            continue; // A shard emptied by plan sanitising has nothing this round.
+}
+
+impl ServerStage<'_> {
+    /// Runs the server side of one iteration. Every active route group processes its
+    /// share of the uploads — one merged `begin_step` per replicated shard, or one exact
+    /// partitioned step over the full cohort — and the gradients go to `dispatch` in plan
+    /// order; only then does each group run its optimizer tail (`finish_step`). The
+    /// barrier schedule's `dispatch` hands the gradients back, the pipelined one sends
+    /// them to the worker stage so the tails overlap the workers' backward and next
+    /// forward. Groups are visited in the same order either way, so both schedules
+    /// compute the same bits. Without merging each group's top model steps once per
+    /// routed worker (the per-worker sweep), so every gradient depends on the whole
+    /// sweep and dispatch follows it. Returns the iteration's sample-weighted loss and
+    /// what `dispatch` returned.
+    fn iteration<R>(
+        &mut self,
+        uploads: &[FeatureUpload],
+        dispatch: impl FnOnce(Vec<Option<Tensor>>) -> R,
+    ) -> (f32, R) {
+        record_feature_traffic(self.traffic, uploads, self.feature_bytes);
+        let plan = self.plan;
+        let mut gradients: Vec<(usize, Tensor)> = Vec::with_capacity(uploads.len());
+        let mut steps: Vec<GroupStep> = Vec::with_capacity(plan.route_groups());
+        for group in 0..plan.route_groups() {
+            let routed = routed_uploads(uploads, plan, group);
+            if routed.is_empty() {
+                continue; // A group emptied by plan sanitising has nothing this round.
+            }
+            let step = if self.merging {
+                self.server.begin_step(group, &merge_feature_refs(&routed))
+            } else {
+                self.server.process_sequential(group, &routed)
+            };
+            steps.push(GroupStep {
+                group,
+                loss: step.loss,
+                samples: routed.iter().map(|u| u.batch_size()).sum(),
+            });
+            gradients.extend(step.gradients);
         }
-        let samples: usize = routed.iter().map(|u| u.batch_size()).sum();
-        let step = if merging {
-            server.process_merged(shard, &routed)
-        } else {
-            server.process_sequential(shard, &routed)
-        };
-        shard_losses.push((step.loss, samples));
-        gradients.extend(step.gradients);
+        let loss = combine_shard_losses(&steps);
+        let dispatched = dispatch(align_gradients(&plan.selected, gradients));
+        if self.merging {
+            for step in &steps {
+                self.server.finish_step(step.group);
+            }
+        }
+        (loss, dispatched)
     }
-    (
-        combine_shard_losses(&shard_losses),
-        align_gradients(&plan.selected, gradients),
-    )
 }
 
-/// The barrier round loop (the oracle): every iteration fully serialises worker forward →
-/// server step → gradient application. Returns the summed iteration losses.
-#[allow(clippy::too_many_arguments)]
-fn run_iterations_barrier(
+/// Runs the round's `τ` iterations and returns the summed iteration losses. The barrier
+/// schedule (the oracle) serialises worker forward → server half → gradient application
+/// on the calling thread. The pipelined schedule runs the cohort's worker stage on its
+/// own thread, streaming each iteration's uploads through a bounded channel to the same
+/// server half on the calling thread and receiving the dispatched gradients through a
+/// second one — the overlap the round's pipelined makespan models. Only scheduling
+/// differs, so trajectories are bit-identical.
+fn run_iterations(
     cohort: &mut [&mut SflWorker],
     train: &Dataset,
-    server: &mut ShardedServer,
-    traffic: &mut TrafficMeter,
-    feature_bytes: f64,
-    plan: &RoundPlan,
+    mut stage: ServerStage<'_>,
     tau: usize,
     params: &IterationParams,
 ) -> f32 {
+    let batch_sizes = &stage.plan.batch_sizes;
     let mut loss_sum = 0.0f32;
-    for _k in 0..tau {
-        let uploads = forward_all(cohort, train, &plan.batch_sizes, params.parallel);
-        record_feature_traffic(traffic, &uploads, feature_bytes);
-        let (loss, grads) = server_iteration(server, &uploads, plan, params.merging);
-        loss_sum += loss;
-        apply_all(cohort, grads, &plan.batch_sizes, params);
+    if !params.pipeline {
+        for _k in 0..tau {
+            let uploads = forward_all(cohort, train, batch_sizes, params.parallel);
+            let (loss, grads) = stage.iteration(&uploads, |grads| grads);
+            loss_sum += loss;
+            apply_all(cohort, grads, batch_sizes, params);
+        }
+        return loss_sum;
     }
-    loss_sum
-}
-
-/// The pipelined round loop: the cohort's worker stage runs on its own thread, streaming
-/// each iteration's uploads through a bounded channel to the server stage on the calling
-/// thread and receiving the dispatched gradients through a second one. Under feature
-/// merging every shard ships gradients as soon as its backward pass finishes
-/// ([`ShardedServer::begin_step`]) and runs the optimizer update
-/// ([`ShardedServer::finish_step`]) while the workers are already applying gradients and
-/// computing iteration `k+1`'s forward pass — the overlap the round's pipelined makespan
-/// models. Arithmetic order is identical to the barrier loop (shards are visited in
-/// shard order either way), so trajectories are bit-identical; only scheduling differs.
-/// Returns the summed iteration losses.
-#[allow(clippy::too_many_arguments)]
-fn run_iterations_pipelined(
-    cohort: &mut [&mut SflWorker],
-    train: &Dataset,
-    server: &mut ShardedServer,
-    traffic: &mut TrafficMeter,
-    feature_bytes: f64,
-    plan: &RoundPlan,
-    tau: usize,
-    params: &IterationParams,
-) -> f32 {
-    let mut loss_sum = 0.0f32;
     std::thread::scope(|scope| {
         // The channels live *inside* the scope closure: if the server stage panics
         // mid-round, unwinding drops `grad_tx`/`upload_rx` before `thread::scope` joins
@@ -1010,7 +993,6 @@ fn run_iterations_pipelined(
         // returns — the panic propagates instead of deadlocking the join.
         let (upload_tx, upload_rx) = rayon::channel::bounded::<Vec<FeatureUpload>>(PIPELINE_DEPTH);
         let (grad_tx, grad_rx) = rayon::channel::bounded::<Vec<Option<Tensor>>>(PIPELINE_DEPTH);
-        let batch_sizes = &plan.batch_sizes;
         let worker_stage = scope.spawn(move || {
             for _k in 0..tau {
                 let uploads = forward_all(cohort, train, batch_sizes, params.parallel);
@@ -1029,44 +1011,10 @@ fn run_iterations_pipelined(
             let Some(uploads) = upload_rx.recv() else {
                 break; // Worker stage panicked; joining below propagates it.
             };
-            record_feature_traffic(traffic, &uploads, feature_bytes);
-            if params.merging {
-                // Dispatch-critical pass of every shard first, so gradients ship as one
-                // plan-ordered batch the moment the last shard's backward finishes; the
-                // optimizer tails then overlap the workers' backward + next forward.
-                let mut gradients: Vec<(usize, Tensor)> = Vec::with_capacity(uploads.len());
-                let mut shard_losses: Vec<(f32, usize)> = Vec::with_capacity(plan.route_groups());
-                let mut active_shards = Vec::with_capacity(plan.route_groups());
-                for shard in 0..plan.route_groups() {
-                    let routed = routed_uploads(&uploads, plan, shard);
-                    if routed.is_empty() {
-                        continue;
-                    }
-                    let merged = merge_feature_refs(&routed);
-                    let samples = merged.total();
-                    let step = server.begin_step(shard, &merged);
-                    shard_losses.push((step.loss, samples));
-                    gradients.extend(step.gradients);
-                    active_shards.push(shard);
-                }
-                loss_sum += combine_shard_losses(&shard_losses);
-                let grads = align_gradients(&plan.selected, gradients);
-                if grad_tx.send(grads).is_err() {
-                    break;
-                }
-                // Overlapped with the workers' backward + next forward.
-                for shard in active_shards {
-                    server.finish_step(shard);
-                }
-            } else {
-                // Without merging each shard's top model steps once per routed worker,
-                // so every gradient depends on the full sequential sweep; dispatch after
-                // the sweep.
-                let (loss, grads) = server_iteration(server, &uploads, plan, false);
-                loss_sum += loss;
-                if grad_tx.send(grads).is_err() {
-                    break;
-                }
+            let (loss, sent) = stage.iteration(&uploads, |grads| grad_tx.send(grads).is_ok());
+            loss_sum += loss;
+            if !sent {
+                break;
             }
         }
         drop(grad_tx);

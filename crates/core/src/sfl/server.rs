@@ -4,11 +4,15 @@
 //! seam one PS instance implements: per iteration it either processes one *merged*
 //! feature sequence (MergeSFL) or the features of each routed worker separately (typical
 //! SFL), producing the split-layer gradients that are dispatched back. [`TopShard`] is
-//! the concrete replica used by the replicated topology; the trait seam keeps
-//! output-partitioned sharding (each shard owning a slice of the classifier) open.
+//! the full replica of the replicated topology; [`PartitionedShard`] is the
+//! output-partitioned ensemble, each instance owning a slice of the classifier.
 //!
-//! [`ShardedServer`] is the subsystem the engine drives: it routes per-shard work to the
-//! shard instances, periodically synchronises the replicas (averaging weighted by the
+//! [`ShardedServer`] is the subsystem the engine drives: the engine's one server half
+//! calls [`ShardedServer::begin_step`] on every active route group, dispatches the
+//! gradients, then calls [`ShardedServer::finish_step`] on each (or runs
+//! [`ShardedServer::process_sequential`], the per-worker sweep, without merging). The
+//! server routes that work to the shard instances, applies the bounded-staleness version
+//! ring around it, periodically synchronises the replicas (averaging weighted by the
 //! samples each shard processed since the last sync), owns the global bottom model that
 //! is aggregated from the workers at the end of a round (paper Eq. 17 / Eq. 4), and
 //! evaluates the combined global model. With one shard it is exactly the paper's
@@ -85,25 +89,38 @@ pub trait TopModelShard: Send {
     /// top model is updated once per routed worker, in sequence, each update using only
     /// that worker's features.
     fn process_sequential(&mut self, uploads: &[&FeatureUpload]) -> TopStep {
-        assert!(!uploads.is_empty(), "process_sequential: no uploads");
-        let mut gradients = Vec::with_capacity(uploads.len());
-        let mut loss_sum = 0.0f32;
-        let mut acc_sum = 0.0f32;
-        let mut samples = 0usize;
-        for upload in uploads {
-            let single = merge_feature_refs(std::slice::from_ref(upload));
-            let step = self.begin_step(&single);
+        sweep_per_worker(uploads, |single| {
+            let step = self.begin_step(single);
             self.finish_step();
-            loss_sum += step.loss * upload.batch_size() as f32;
-            acc_sum += step.accuracy * upload.batch_size() as f32;
-            samples += upload.batch_size();
-            gradients.extend(step.gradients);
-        }
-        TopStep {
-            loss: loss_sum / samples as f32,
-            accuracy: acc_sum / samples as f32,
-            gradients,
-        }
+            step
+        })
+    }
+}
+
+/// The per-worker sweep of typical SFL: one whole top-model update per routed upload, in
+/// upload order, each on that worker's features alone. `update` runs one update (the
+/// dispatch-critical part and the optimizer tail). Returns the sample-weighted loss and
+/// accuracy of the sweep and every worker's gradients, in upload order.
+fn sweep_per_worker(
+    uploads: &[&FeatureUpload],
+    mut update: impl FnMut(&MergedBatch) -> TopStep,
+) -> TopStep {
+    assert!(!uploads.is_empty(), "process_sequential: no uploads");
+    let mut gradients = Vec::with_capacity(uploads.len());
+    let mut loss_sum = 0.0f32;
+    let mut acc_sum = 0.0f32;
+    let mut samples = 0usize;
+    for upload in uploads {
+        let step = update(&merge_feature_refs(std::slice::from_ref(upload)));
+        loss_sum += step.loss * upload.batch_size() as f32;
+        acc_sum += step.accuracy * upload.batch_size() as f32;
+        samples += upload.batch_size();
+        gradients.extend(step.gradients);
+    }
+    TopStep {
+        loss: loss_sum / samples as f32,
+        accuracy: acc_sum / samples as f32,
+        gradients,
     }
 }
 
@@ -779,15 +796,10 @@ impl ShardedServer {
         }
     }
 
-    /// Routes one iteration's uploads to a shard with feature merging.
+    /// Routes one iteration's uploads to a shard with feature merging: one whole merged
+    /// step ([`ShardedServer::begin_step`] then [`ShardedServer::finish_step`]).
     pub fn process_merged(&mut self, shard: usize, uploads: &[&FeatureUpload]) -> TopStep {
-        self.samples_since_sync[shard] +=
-            uploads.iter().map(|u| u.batch_size() as f64).sum::<f64>();
-        if self.staleness == 0 {
-            return self.shards[shard].process_merged(uploads);
-        }
-        let merged = merge_feature_refs(uploads);
-        let step = self.stale_begin(shard, &merged);
+        let step = self.begin_step(shard, &merge_feature_refs(uploads));
         self.finish_step(shard);
         step
     }
@@ -796,30 +808,11 @@ impl ShardedServer {
     /// Each per-worker update is its own version under a positive staleness window,
     /// mirroring the merged path's step granularity.
     pub fn process_sequential(&mut self, shard: usize, uploads: &[&FeatureUpload]) -> TopStep {
-        self.samples_since_sync[shard] +=
-            uploads.iter().map(|u| u.batch_size() as f64).sum::<f64>();
-        if self.staleness == 0 {
-            return self.shards[shard].process_sequential(uploads);
-        }
-        assert!(!uploads.is_empty(), "process_sequential: no uploads");
-        let mut gradients = Vec::with_capacity(uploads.len());
-        let mut loss_sum = 0.0f32;
-        let mut acc_sum = 0.0f32;
-        let mut samples = 0usize;
-        for upload in uploads {
-            let single = merge_feature_refs(std::slice::from_ref(upload));
-            let step = self.stale_begin(shard, &single);
+        sweep_per_worker(uploads, |single| {
+            let step = self.begin_step(shard, single);
             self.finish_step(shard);
-            loss_sum += step.loss * upload.batch_size() as f32;
-            acc_sum += step.accuracy * upload.batch_size() as f32;
-            samples += upload.batch_size();
-            gradients.extend(step.gradients);
-        }
-        TopStep {
-            loss: loss_sum / samples as f32,
-            accuracy: acc_sum / samples as f32,
-            gradients,
-        }
+            step
+        })
     }
 
     /// The cross-shard average of the shard top-model states, weighted by the samples

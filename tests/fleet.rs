@@ -9,9 +9,8 @@
 //! serialise on one mutex — the byte counter is process-global.
 
 use mergesfl::config::RunConfig;
-use mergesfl::sfl::ShardTopology;
 use mergesfl::experiment::{run, Approach};
-use mergesfl::sfl::{SflEngine, SflStrategy};
+use mergesfl::sfl::{SflEngine, SflStrategy, ShardTopology};
 use mergesfl_data::DatasetKind;
 use mergesfl_nn::pool::{heap_bytes, CountingAlloc};
 use std::sync::Mutex;
