@@ -404,7 +404,7 @@ fn measure(entry: &Entry) -> Measurement {
             // packed GEMM, re-run it with the plan's tile and partition but the
             // staging forced to single-stage and then double-buffered, so the table
             // (and the staging gate) can compare the two drivers head-to-head.
-            let (single_ns, double_ns, stage_idle_pct) = match runtime().select(*trans, m, n, k) {
+            let (single_ns, double_ns, stage_idle_pct) = match runtime::select(*trans, m, n, k) {
                 GemmPlan::Tiled(scheme, micro) if scheme.stage != Staging::Direct => {
                     let single_scheme = TilingScheme {
                         stage: Staging::Single,
@@ -884,7 +884,7 @@ fn main() {
         // The double-buffered driver on the gate shape: the packer thread and its
         // channels are spawned on the first (warm-up) call, so steady state must be
         // allocation-free too.
-        if let GemmPlan::Tiled(scheme, micro) = runtime().select(Trans::Nn, 256, 256, 256) {
+        if let GemmPlan::Tiled(scheme, micro) = runtime::select(Trans::Nn, 256, 256, 256) {
             if scheme.stage != Staging::Direct {
                 let double_scheme = TilingScheme {
                     stage: Staging::Double,

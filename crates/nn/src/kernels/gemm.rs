@@ -5,9 +5,9 @@
 //! *accumulate into* `C`, so callers seed `C` with zeros or a bias broadcast and may pass
 //! a fused [`Epilogue`] applied after the product.
 //!
-//! How a product actually runs is decided by the process
-//! [`runtime`](super::runtime::runtime): it plans a
-//! [`TilingScheme`](super::tiling::TilingScheme) per shape and this module executes it.
+//! How a product actually runs is decided by [`select`](super::runtime::select): it
+//! plans a [`TilingScheme`](super::tiling::TilingScheme) per shape and this module
+//! executes it.
 //! Three drivers exist, one per [`Staging`](super::tiling::Staging) mode:
 //!
 //! * **direct** — unpacked register tiling for small and skinny shapes;
@@ -31,7 +31,7 @@
 use rayon::prelude::*;
 
 use super::micro::{self, MicroKernelId, MicroSelect};
-use super::runtime::{record_stage_wait, runtime, GemmPlan};
+use super::runtime::{record_stage_wait, select, GemmPlan};
 use super::tiling::{PartitionSize, Staging, TilingScheme};
 use super::KernelBackend;
 
@@ -156,56 +156,51 @@ pub fn gemm_cfg(
 
     match backend {
         KernelBackend::Naive => gemm_naive(trans, m, n, k, a, b, c),
-        KernelBackend::Blocked => {
-            let rt = runtime();
-            let plan = rt.select(trans, m, n, k);
-            let flops = 2 * m * n * k;
-            let threads = rayon::current_num_threads();
-            let fan_out = match &plan {
-                GemmPlan::Tiled(scheme, _) => {
-                    scheme.stage != Staging::Direct
-                        && threads > 1
-                        && flops >= PAR_MIN_FLOPS
-                        && m >= 2 * scheme.tile.mr
-                        && n > 0
+        KernelBackend::Blocked => match select(trans, m, n, k) {
+            GemmPlan::Naive => gemm_naive(trans, m, n, k, a, b, c),
+            GemmPlan::Tiled(scheme, micro) => {
+                let threads = rayon::current_num_threads();
+                let fan_out = scheme.stage != Staging::Direct
+                    && threads > 1
+                    && 2 * m * n * k >= PAR_MIN_FLOPS
+                    && m >= 2 * scheme.tile.mr
+                    && n > 0;
+                if !fan_out {
+                    gemm_dispatch(trans, (m, n, k), a, b, c, 0, m, &scheme, micro);
+                } else {
+                    // The fan-out already owns every core, so each row slice runs
+                    // single-stage: a per-slice pack thread would only oversubscribe.
+                    let slice_scheme = TilingScheme {
+                        stage: Staging::Single,
+                        ..scheme
+                    };
+                    // Fixed panel order: thread t owns rows [t*rows_per, ...), and every
+                    // element is accumulated exactly as in the single-threaded path.
+                    let rows_per = m.div_ceil(threads).max(scheme.tile.mr);
+                    let tasks: Vec<(usize, &mut [f32])> = c
+                        .chunks_mut(rows_per * n)
+                        .enumerate()
+                        .map(|(t, chunk)| (t * rows_per, chunk))
+                        // lint: allow(hot-path-alloc) multi-core fan-out task list; the
+                        // alloc-gated single-core path never reaches here
+                        .collect();
+                    tasks.into_par_iter().for_each(|(row0, c_rows)| {
+                        let m_local = c_rows.len() / n;
+                        gemm_dispatch(
+                            trans,
+                            (m, n, k),
+                            a,
+                            b,
+                            c_rows,
+                            row0,
+                            m_local,
+                            &slice_scheme,
+                            micro,
+                        );
+                    });
                 }
-                GemmPlan::Naive => false,
-            };
-            if let (true, GemmPlan::Tiled(scheme, micro)) = (fan_out, &plan) {
-                // The fan-out already owns every core, so each row slice runs
-                // single-stage: a per-slice pack thread would only oversubscribe.
-                let slice_scheme = TilingScheme {
-                    stage: Staging::Single,
-                    ..*scheme
-                };
-                // Fixed panel order: thread t owns rows [t*rows_per, ...), and every
-                // element is accumulated exactly as in the single-threaded path.
-                let rows_per = m.div_ceil(threads).max(scheme.tile.mr);
-                let tasks: Vec<(usize, &mut [f32])> = c
-                    .chunks_mut(rows_per * n)
-                    .enumerate()
-                    .map(|(t, chunk)| (t * rows_per, chunk))
-                    // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-                    // alloc-gated single-core path never reaches here
-                    .collect();
-                tasks.into_par_iter().for_each(|(row0, c_rows)| {
-                    let m_local = c_rows.len() / n;
-                    gemm_dispatch(
-                        trans,
-                        (m, n, k),
-                        a,
-                        b,
-                        c_rows,
-                        row0,
-                        m_local,
-                        &slice_scheme,
-                        *micro,
-                    );
-                });
-            } else {
-                rt.gemm(&plan, trans, (m, n, k), a, b, c, 0, m);
             }
-        }
+        },
     }
     epilogue.apply(c, n);
 }
@@ -243,15 +238,7 @@ pub fn gemm_with_scheme(
 // exact semantics the tiled drivers reproduce.
 // ---------------------------------------------------------------------------
 
-pub(super) fn gemm_naive(
-    trans: Trans,
-    m: usize,
-    n: usize,
-    k: usize,
-    a: &[f32],
-    b: &[f32],
-    c: &mut [f32],
-) {
+fn gemm_naive(trans: Trans, m: usize, n: usize, k: usize, a: &[f32], b: &[f32], c: &mut [f32]) {
     match trans {
         Trans::Nn => {
             for i in 0..m {
@@ -428,7 +415,7 @@ fn resolve_16x16(select: MicroSelect) -> MicroFn<16, 16> {
 /// `[m, n]` output). `dims` carries the full problem sizes so the transposed layouts can
 /// index A and B globally.
 #[allow(clippy::too_many_arguments)]
-pub(super) fn gemm_dispatch(
+fn gemm_dispatch(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],

@@ -8,7 +8,7 @@
 //! * [`KernelBackend::Naive`] — the original straightforward loop nests. They are kept
 //!   verbatim as the *test oracle*: slow, obviously correct, and the reference every
 //!   optimised path is compared against.
-//! * [`KernelBackend::Blocked`] — the kernel **runtime**: [`runtime::Runtime::select`]
+//! * [`KernelBackend::Blocked`] — the kernel **runtime**: [`runtime::select`]
 //!   plans each GEMM as either the naive nest or an explicit [`tiling::TilingScheme`]
 //!   (register tile, mc/kc/nc cache partition, `Direct`/`Single`/`Double` panel staging)
 //!   plus a [`micro`] kernel chosen behind CPU feature detection, and the drivers in
@@ -47,8 +47,7 @@ pub mod tiling;
 pub use gemm::{gemm_cfg, gemm_nn, gemm_nt, gemm_tn, gemm_with_scheme, Epilogue, Trans};
 pub use micro::{MicroKernelId, MicroSelect, ALL_MICRO_KERNELS};
 pub use runtime::{
-    reset_stage_stats, runtime, set_micro_override, set_tiling_override, stage_stats, GemmPlan,
-    Runtime, StageStats,
+    reset_stage_stats, set_micro_override, set_tiling_override, stage_stats, GemmPlan, StageStats,
 };
 pub use tiling::{PartitionSize, Staging, TileSize, TilingOverride, TilingScheme};
 

@@ -1,15 +1,12 @@
-//! The kernel runtime: device abstraction, per-shape scheme selection, knobs.
+//! The kernel runtime: per-shape GEMM plan selection and the plan knobs.
 //!
-//! Modeled on CubeCL's `Runtime` trait: a [`Runtime`] owns kernel selection for
-//! one device class and executes GEMMs according to an explicit
+//! [`select`] plans each GEMM as either the naive nest or an explicit
 //! [`TilingScheme`] instead of hardcoded blocking constants. Layer code never
-//! names a device — it calls [`crate::kernels::gemm::gemm_cfg`], which asks the
-//! process [`runtime()`] to plan and run the product. A future GPU/wgpu backend
-//! is a second `Runtime` implementation slotted in behind [`runtime()`];
-//! nothing above this seam changes.
+//! plans a product itself — it calls [`crate::kernels::gemm::gemm_cfg`], which
+//! runs the plan [`select`] returns.
 //!
-//! Selection policy ([`CpuRuntime::select`]) — layout-aware, because the naive
-//! nests vectorise very differently per layout (measured on the reference host):
+//! Selection policy — layout-aware, because the naive nests vectorise very
+//! differently per layout (measured on the reference host):
 //!
 //! 1. `2·m·n·k < SMALL_MIN_FLOPS` → [`GemmPlan::Naive`]: at a few hundred
 //!    flops even the register tile's setup loses to the plain loops.
@@ -37,7 +34,7 @@
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::Once;
 
-use super::gemm::{gemm_dispatch, gemm_naive, Trans};
+use super::gemm::Trans;
 use super::micro::{MicroKernelId, MicroSelect};
 use super::tiling::{Staging, TileSize, TilingOverride, TilingScheme};
 
@@ -51,7 +48,7 @@ pub const SMALL_MIN_FLOPS: usize = 1 << 9;
 /// [`SMALL_MIN_FLOPS`] up.
 pub const BLOCKED_MIN_FLOPS: usize = 1 << 15;
 
-/// The execution plan the runtime picks for one GEMM shape.
+/// The execution plan [`select`] picks for one GEMM shape.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum GemmPlan {
     /// Run the naive oracle loops (tiny products).
@@ -60,120 +57,47 @@ pub enum GemmPlan {
     Tiled(TilingScheme, MicroSelect),
 }
 
-/// A kernel execution device, CubeCL-style: owns scheme selection and runs
-/// GEMMs for one hardware class.
-pub trait Runtime: Sync {
-    /// Device-class name, e.g. `"cpu"`.
-    fn name(&self) -> &'static str;
-
-    /// Whether this device can execute the given micro-kernel.
-    fn supports(&self, id: MicroKernelId) -> bool;
-
-    /// Plans one `op(A)·op(B)` product of logical shape `m × n × k`. The
-    /// layout participates because the relative cost of the naive, direct and
-    /// packed plans depends on which operands are contiguous. Must accept any
-    /// shape (including zero extents) without panicking.
-    fn select(&self, trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan;
-
-    /// Executes `C += op(A)·op(B)` over the row slice `c_rows` (rows
-    /// `[row0, row0 + m_local)` of the full output) according to `plan`.
-    /// Implementations must preserve the ascending-`k` fold order per element.
-    #[allow(clippy::too_many_arguments)]
-    fn gemm(
-        &self,
-        plan: &GemmPlan,
-        trans: Trans,
-        dims: (usize, usize, usize),
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-        row0: usize,
-        m_local: usize,
-    );
-}
-
-/// The host-CPU runtime: portable/AVX/AVX-512 micro-kernels, cache-blocked
-/// packing, optional double-buffered staging.
-pub struct CpuRuntime;
-
-impl Runtime for CpuRuntime {
-    fn name(&self) -> &'static str {
-        "cpu"
+/// Plans one `op(A)·op(B)` product of logical shape `m × n × k`. The layout
+/// participates because the relative cost of the naive, direct and packed plans
+/// depends on which operands are contiguous. Accepts any shape (including zero
+/// extents) without panicking.
+pub fn select(trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan {
+    let micro = micro_select();
+    let flops = m.saturating_mul(2).saturating_mul(n).saturating_mul(k);
+    if flops < SMALL_MIN_FLOPS {
+        return GemmPlan::Naive;
     }
-
-    fn supports(&self, id: MicroKernelId) -> bool {
-        id.is_available()
-    }
-
-    fn select(&self, trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan {
-        let micro = micro_select();
-        let flops = m.saturating_mul(2).saturating_mul(n).saturating_mul(k);
-        if flops < SMALL_MIN_FLOPS {
-            return GemmPlan::Naive;
-        }
-        let small_tile = TilingScheme::small(m, n, k).tile;
-        let skinny = m < small_tile.mr || n < small_tile.nr;
-        match trans {
-            // B rows contiguous: the naive nest auto-vectorises and beats any
-            // tile until packing amortises.
-            Trans::Nn | Trans::Tn => {
-                if skinny || flops < BLOCKED_MIN_FLOPS {
-                    return GemmPlan::Naive;
-                }
-            }
-            // Scalar naive nest: packing pays almost immediately, except the
-            // skinny-m wide-n band where the unpacked register tile is the
-            // fastest allocation-free plan.
-            Trans::Nt => {
-                if m < small_tile.mr && n >= small_tile.nr {
-                    return GemmPlan::Tiled(TilingScheme::small(m, n, k), micro);
-                }
-                if n < small_tile.nr {
-                    return GemmPlan::Naive;
-                }
+    let small_tile = TilingScheme::small(m, n, k).tile;
+    let skinny = m < small_tile.mr || n < small_tile.nr;
+    match trans {
+        // B rows contiguous: the naive nest auto-vectorises and beats any
+        // tile until packing amortises.
+        Trans::Nn | Trans::Tn => {
+            if skinny || flops < BLOCKED_MIN_FLOPS {
+                return GemmPlan::Naive;
             }
         }
-        let stage = if rayon::current_num_threads() > 1 {
-            Staging::Double
-        } else {
-            Staging::Single
-        };
-        let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
-        tiling_override().apply(&mut scheme);
-        scheme.validate();
-        GemmPlan::Tiled(scheme, micro)
-    }
-
-    fn gemm(
-        &self,
-        plan: &GemmPlan,
-        trans: Trans,
-        dims: (usize, usize, usize),
-        a: &[f32],
-        b: &[f32],
-        c_rows: &mut [f32],
-        row0: usize,
-        m_local: usize,
-    ) {
-        match plan {
-            GemmPlan::Naive => {
-                debug_assert_eq!(row0, 0);
-                let (_, n, k) = dims;
-                gemm_naive(trans, m_local, n, k, a, b, c_rows);
+        // Scalar naive nest: packing pays almost immediately, except the
+        // skinny-m wide-n band where the unpacked register tile is the
+        // fastest allocation-free plan.
+        Trans::Nt => {
+            if m < small_tile.mr && n >= small_tile.nr {
+                return GemmPlan::Tiled(TilingScheme::small(m, n, k), micro);
             }
-            GemmPlan::Tiled(scheme, micro) => {
-                gemm_dispatch(trans, dims, a, b, c_rows, row0, m_local, scheme, *micro);
+            if n < small_tile.nr {
+                return GemmPlan::Naive;
             }
         }
     }
-}
-
-static CPU_RUNTIME: CpuRuntime = CpuRuntime;
-
-/// The process-wide kernel runtime. Today always the CPU device; the GPU
-/// extension point is a second implementation returned from here.
-pub fn runtime() -> &'static dyn Runtime {
-    &CPU_RUNTIME
+    let stage = if rayon::current_num_threads() > 1 {
+        Staging::Double
+    } else {
+        Staging::Single
+    };
+    let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
+    tiling_override().apply(&mut scheme);
+    scheme.validate();
+    GemmPlan::Tiled(scheme, micro)
 }
 
 /// The widest tile the `micro` policy can actually run on this host. A forced
@@ -408,7 +332,6 @@ mod tests {
     fn select_never_panics_on_degenerate_shapes() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
             for &(m, n, k) in &[
                 (0, 0, 0),
@@ -421,7 +344,7 @@ mod tests {
                 (usize::MAX >> 1, usize::MAX >> 1, 1),
                 (usize::MAX, usize::MAX, usize::MAX),
             ] {
-                let plan = rt.select(trans, m, n, k);
+                let plan = select(trans, m, n, k);
                 if let GemmPlan::Tiled(scheme, _) = plan {
                     scheme.validate();
                 }
@@ -436,42 +359,41 @@ mod tests {
         // moving one deliberately means re-measuring, not just editing the test.
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
 
         // 2*4*4*4 = 128 flops < SMALL_MIN_FLOPS: naive for every layout.
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
-            assert_eq!(rt.select(trans, 4, 4, 4), GemmPlan::Naive, "{trans:?}");
+            assert_eq!(select(trans, 4, 4, 4), GemmPlan::Naive, "{trans:?}");
         }
 
         // Row-contiguous layouts: the vectorised naive nest wins below the
         // packing crossover...
-        assert_eq!(rt.select(Trans::Nn, 12, 12, 12), GemmPlan::Naive);
-        assert_eq!(rt.select(Trans::Nn, 24, 24, 24), GemmPlan::Naive);
+        assert_eq!(select(Trans::Nn, 12, 12, 12), GemmPlan::Naive);
+        assert_eq!(select(Trans::Nn, 24, 24, 24), GemmPlan::Naive);
         // ... and skinny shapes (the [1, n, k] bias-grad GEMV, [m, 1, k]
         // weight-grad slivers) stay naive at any size.
-        assert_eq!(rt.select(Trans::Tn, 1, 64, 256), GemmPlan::Naive);
-        assert_eq!(rt.select(Trans::Nn, 64, 1, 1 << 12), GemmPlan::Naive);
+        assert_eq!(select(Trans::Tn, 1, 64, 256), GemmPlan::Naive);
+        assert_eq!(select(Trans::Nn, 64, 1, 1 << 12), GemmPlan::Naive);
         // 2*32^3 = 65536 >= BLOCKED_MIN_FLOPS: packed.
-        match rt.select(Trans::Nn, 32, 32, 32) {
+        match select(Trans::Nn, 32, 32, 32) {
             GemmPlan::Tiled(scheme, _) => assert_ne!(scheme.stage, Staging::Direct),
             plan => panic!("32^3 Nn should be packed, got {plan:?}"),
         }
 
         // Nt (scalar naive nest): packed from just above SMALL_MIN_FLOPS...
-        match rt.select(Trans::Nt, 8, 8, 8) {
+        match select(Trans::Nt, 8, 8, 8) {
             GemmPlan::Tiled(scheme, _) => assert_ne!(scheme.stage, Staging::Direct),
             plan => panic!("8x8x8 Nt should be packed, got {plan:?}"),
         }
         // ... the skinny-m wide-n band runs the direct unpacked scheme ...
-        match rt.select(Trans::Nt, 3, 48, 64) {
+        match select(Trans::Nt, 3, 48, 64) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.stage, Staging::Direct),
             plan => panic!("3x48x64 Nt should run the direct scheme, got {plan:?}"),
         }
         // ... and skinny-n falls back to naive (nothing vectorises it).
-        assert_eq!(rt.select(Trans::Nt, 64, 1, 256), GemmPlan::Naive);
+        assert_eq!(select(Trans::Nt, 64, 1, 256), GemmPlan::Naive);
 
         // 256^3 is packed, with the default partition and a supported tile.
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match select(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => {
                 assert_ne!(scheme.stage, Staging::Direct);
                 assert!(scheme.tile.is_supported());
@@ -485,7 +407,6 @@ mod tests {
     fn overrides_shape_the_packed_plan() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         set_tiling_override(TilingOverride {
             mc: Some(64),
             kc: Some(64),
@@ -493,7 +414,7 @@ mod tests {
             stages: Some(Staging::Double),
             tile: Some(TileSize { mr: 4, nr: 8 }),
         });
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match select(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => {
                 assert_eq!(scheme.partition.mc, 64);
                 assert_eq!(scheme.stage, Staging::Double);
@@ -502,7 +423,7 @@ mod tests {
             plan => panic!("expected packed plan, got {plan:?}"),
         }
         // Direct plans ignore the partition override.
-        match rt.select(Trans::Nt, 3, 48, 64) {
+        match select(Trans::Nt, 3, 48, 64) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.stage, Staging::Direct),
             plan => panic!("expected direct plan, got {plan:?}"),
         }
@@ -513,10 +434,9 @@ mod tests {
     fn forced_micro_kernel_controls_tile() {
         let _guard = lock();
         clear_overrides();
-        let rt = runtime();
         set_micro_override(Some(MicroKernelId::Portable));
         assert_eq!(micro_select(), MicroSelect::Force(MicroKernelId::Portable));
-        match rt.select(Trans::Nn, 256, 256, 256) {
+        match select(Trans::Nn, 256, 256, 256) {
             GemmPlan::Tiled(scheme, _) => assert_eq!(scheme.tile, TileSize { mr: 4, nr: 8 }),
             plan => panic!("expected packed plan, got {plan:?}"),
         }

@@ -339,12 +339,11 @@ proptest! {
             2 => 1usize << 40,
             _ => k_raw,
         };
-        let rt = runtime();
         for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
-            if let GemmPlan::Tiled(scheme, _) = rt.select(trans, m, n, k) {
+            if let GemmPlan::Tiled(scheme, _) = runtime::select(trans, m, n, k) {
                 scheme.validate();
             }
-            if let GemmPlan::Tiled(scheme, _) = rt.select(trans, k, m, n) {
+            if let GemmPlan::Tiled(scheme, _) = runtime::select(trans, k, m, n) {
                 scheme.validate();
             }
         }
