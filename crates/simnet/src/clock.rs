@@ -93,27 +93,6 @@ impl RoundTiming {
         }
     }
 
-    /// Creates the timing record of a single-shard split round with a per-stage
-    /// breakdown. `worker_durations` remain whole-round totals (`τ · d_i · (µ_i + β_i)`).
-    pub fn with_split_stages(
-        worker_durations: Vec<f64>,
-        sync_overhead: f64,
-        iterations: usize,
-        ingress: f64,
-        server_critical: f64,
-        server_overlap: f64,
-    ) -> Self {
-        Self::with_sharded_stages(
-            worker_durations,
-            sync_overhead,
-            iterations,
-            vec![ingress],
-            vec![server_critical],
-            vec![server_overlap],
-            0.0,
-        )
-    }
-
     /// Creates the timing record of a split round whose server stage is partitioned
     /// across parameter-server shards, each with its own per-iteration ingress drain and
     /// critical/overlappable server parts, plus the round's cross-shard sync cost.
@@ -313,12 +292,6 @@ impl RoundTiming {
         }
     }
 
-    /// Wall-clock completion time of the round under the barrier schedule (the oracle
-    /// model; kept as the historical name).
-    pub fn completion_time(&self) -> f64 {
-        self.barrier_completion_time()
-    }
-
     /// Average waiting time across the participating workers (paper Eq. 8). Waiting is a
     /// property of worker heterogeneity and is the same under both schedules: the merge
     /// still needs every selected worker's upload each iteration.
@@ -352,20 +325,6 @@ pub struct SimClock {
 }
 
 impl SimClock {
-    /// Creates a clock at time zero charging the barrier schedule.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Creates a clock at time zero charging the chosen schedule: pipelined rounds advance
-    /// by the overlap-aware makespan, barrier rounds by the serialised one.
-    pub fn with_pipelining(pipelined: bool) -> Self {
-        Self {
-            pipelined,
-            ..Self::default()
-        }
-    }
-
     /// Creates a clock at time zero charging the chosen schedule, including the
     /// bounded-staleness async one: with `pipelined` set and `staleness > 0`, rounds
     /// advance by [`RoundTiming::async_completion_time`]. A positive staleness without
@@ -377,16 +336,6 @@ impl SimClock {
             staleness,
             ..Self::default()
         }
-    }
-
-    /// Whether this clock charges the pipelined schedule.
-    pub fn is_pipelined(&self) -> bool {
-        self.pipelined
-    }
-
-    /// The staleness bound whose async makespan this clock charges (0 = plain pipelined).
-    pub fn staleness(&self) -> usize {
-        self.staleness
     }
 
     /// Advances the clock by one round and returns the round's completion time.
@@ -448,7 +397,7 @@ mod tests {
     fn barrier_is_slowest_worker() {
         let timing = RoundTiming::new(vec![1.0, 5.0, 3.0], 0.5);
         assert_eq!(timing.barrier_time(), 5.0);
-        assert_eq!(timing.completion_time(), 5.5);
+        assert_eq!(timing.barrier_completion_time(), 5.5);
         // Without stages the pipelined makespan degenerates to the barrier one.
         assert_eq!(timing.pipelined_completion_time(), 5.5);
     }
@@ -470,7 +419,15 @@ mod tests {
     fn split_stage_makespans_match_manual_computation() {
         // τ=4, per-iteration worker stages {0.5, 1.0} (totals {2, 4}), 0.8 s ingress
         // drain, server 0.3 critical + 0.1 overlap per iteration, 0.2 s sync.
-        let timing = RoundTiming::with_split_stages(vec![2.0, 4.0], 0.2, 4, 0.8, 0.3, 0.1);
+        let timing = RoundTiming::with_sharded_stages(
+            vec![2.0, 4.0],
+            0.2,
+            4,
+            vec![0.8],
+            vec![0.3],
+            vec![0.1],
+            0.0,
+        );
         // Barrier: 4 + 4·(0.8+0.3+0.1) + 0.2 = 9.0.
         assert!((timing.barrier_completion_time() - 9.0).abs() < 1e-9);
         // Pipelined: 1.0 + 0.8 + 4·0.3 + 3·max(1.0, 0.8, 0.1) + 0.1 + 0.2 = 6.3.
@@ -482,7 +439,15 @@ mod tests {
 
     #[test]
     fn split_stage_pipelining_never_loses() {
-        let timing = RoundTiming::with_split_stages(vec![1.5, 0.5, 3.0], 0.4, 6, 0.7, 0.2, 0.35);
+        let timing = RoundTiming::with_sharded_stages(
+            vec![1.5, 0.5, 3.0],
+            0.4,
+            6,
+            vec![0.7],
+            vec![0.2],
+            vec![0.35],
+            0.0,
+        );
         assert!(timing.pipelined_completion_time() <= timing.barrier_completion_time());
         // And never beats the slowest single stage strand.
         assert!(timing.pipelined_completion_time() >= timing.barrier_time());
@@ -493,31 +458,17 @@ mod tests {
     #[test]
     fn single_iteration_split_round_has_no_overlap_window() {
         // τ = 1: nothing to pipeline; the two schedules agree exactly.
-        let timing = RoundTiming::with_split_stages(vec![2.5, 1.0], 0.3, 1, 0.6, 0.2, 0.4);
-        assert!(
-            (timing.pipelined_completion_time() - timing.barrier_completion_time()).abs() < 1e-12
-        );
-    }
-
-    #[test]
-    fn single_entry_sharded_stages_equal_the_split_stage_model_exactly() {
-        let split = RoundTiming::with_split_stages(vec![2.0, 4.0], 0.2, 4, 0.8, 0.3, 0.1);
-        let sharded = RoundTiming::with_sharded_stages(
-            vec![2.0, 4.0],
-            0.2,
-            4,
-            vec![0.8],
-            vec![0.3],
-            vec![0.1],
+        let timing = RoundTiming::with_sharded_stages(
+            vec![2.5, 1.0],
+            0.3,
+            1,
+            vec![0.6],
+            vec![0.2],
+            vec![0.4],
             0.0,
         );
-        assert_eq!(
-            split.barrier_completion_time(),
-            sharded.barrier_completion_time()
-        );
-        assert_eq!(
-            split.pipelined_completion_time(),
-            sharded.pipelined_completion_time()
+        assert!(
+            (timing.pipelined_completion_time() - timing.barrier_completion_time()).abs() < 1e-12
         );
     }
 
@@ -547,7 +498,15 @@ mod tests {
         // The same total server load, once on a single PS and once split across four
         // shards (each with its own ingress link and GPU): both makespans must drop,
         // strictly for the pipelined schedule as long as the shards see real load.
-        let single = RoundTiming::with_split_stages(vec![3.0, 6.0], 0.4, 6, 1.2, 0.8, 0.4);
+        let single = RoundTiming::with_sharded_stages(
+            vec![3.0, 6.0],
+            0.4,
+            6,
+            vec![1.2],
+            vec![0.8],
+            vec![0.4],
+            0.0,
+        );
         let sharded = RoundTiming::with_sharded_stages(
             vec![3.0, 6.0],
             0.4,
@@ -604,7 +563,15 @@ mod tests {
         // load split across 4 slices (each ingress link carrying a quarter stripe, each
         // instance computing a quarter step) beats the single PS in both schedules as
         // long as the per-iteration exchange stays below the per-iteration saving.
-        let single = RoundTiming::with_split_stages(vec![3.0, 6.0], 0.4, 6, 1.2, 0.8, 0.4);
+        let single = RoundTiming::with_sharded_stages(
+            vec![3.0, 6.0],
+            0.4,
+            6,
+            vec![1.2],
+            vec![0.8],
+            vec![0.4],
+            0.0,
+        );
         let partitioned = RoundTiming::with_sharded_stages(
             vec![3.0, 6.0],
             0.4,
@@ -700,7 +667,15 @@ mod tests {
 
     #[test]
     fn async_makespan_at_zero_staleness_is_the_pipelined_makespan() {
-        let timing = RoundTiming::with_split_stages(vec![2.0, 4.0], 0.2, 4, 0.8, 0.3, 0.1);
+        let timing = RoundTiming::with_sharded_stages(
+            vec![2.0, 4.0],
+            0.2,
+            4,
+            vec![0.8],
+            vec![0.3],
+            vec![0.1],
+            0.0,
+        );
         assert_eq!(
             timing.async_completion_time(0),
             timing.pipelined_completion_time()
@@ -711,7 +686,15 @@ mod tests {
     fn async_makespan_window_caps_the_hidden_boundary_work() {
         // Huge boundary work (3.0 s) against a 0.5 s per-iteration worker stage: k=2
         // hides only 2·0.5 = 1.0 s of it.
-        let timing = RoundTiming::with_split_stages(vec![1.0, 2.0], 2.0, 4, 0.1, 0.1, 0.1);
+        let timing = RoundTiming::with_sharded_stages(
+            vec![1.0, 2.0],
+            2.0,
+            4,
+            vec![0.1],
+            vec![0.1],
+            vec![0.1],
+            0.0,
+        );
         assert!(
             (timing.pipelined_completion_time() - timing.async_completion_time(2) - 1.0).abs()
                 < 1e-9
@@ -766,7 +749,6 @@ mod tests {
             timing.async_completion_time(2)
         );
         assert!(pipelined_stale.elapsed_seconds() < pipelined_plain.elapsed_seconds());
-        assert_eq!(pipelined_stale.staleness(), 2);
         // Waiting time is schedule-independent across all three.
         assert_eq!(
             barrier_stale.mean_waiting_time(),
@@ -776,7 +758,7 @@ mod tests {
 
     #[test]
     fn clock_accumulates_rounds() {
-        let mut clock = SimClock::new();
+        let mut clock = SimClock::default();
         clock.advance_round(&RoundTiming::new(vec![1.0, 2.0], 0.0));
         clock.advance_round(&RoundTiming::new(vec![4.0, 4.0], 1.0));
         assert_eq!(clock.rounds(), 2);
@@ -787,20 +769,27 @@ mod tests {
 
     #[test]
     fn pipelined_clock_advances_by_the_overlap_aware_makespan() {
-        let timing = RoundTiming::with_split_stages(vec![2.0, 4.0], 0.2, 4, 0.8, 0.3, 0.1);
-        let mut barrier = SimClock::with_pipelining(false);
-        let mut pipelined = SimClock::with_pipelining(true);
+        let timing = RoundTiming::with_sharded_stages(
+            vec![2.0, 4.0],
+            0.2,
+            4,
+            vec![0.8],
+            vec![0.3],
+            vec![0.1],
+            0.0,
+        );
+        let mut barrier = SimClock::with_schedule(false, 0);
+        let mut pipelined = SimClock::with_schedule(true, 0);
         barrier.advance_round(&timing);
         pipelined.advance_round(&timing);
         assert!(pipelined.elapsed_seconds() < barrier.elapsed_seconds());
         // Waiting time is schedule-independent.
         assert_eq!(barrier.mean_waiting_time(), pipelined.mean_waiting_time());
-        assert!(pipelined.is_pipelined() && !barrier.is_pipelined());
     }
 
     #[test]
     fn advance_by_adds_overhead() {
-        let mut clock = SimClock::new();
+        let mut clock = SimClock::default();
         clock.advance_by(10.0);
         assert_eq!(clock.elapsed_seconds(), 10.0);
         assert_eq!(clock.rounds(), 0);
@@ -816,6 +805,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one iteration")]
     fn rejects_zero_iteration_split_stages() {
-        let _ = RoundTiming::with_split_stages(vec![1.0], 0.0, 0, 0.1, 0.1, 0.1);
+        let _ = RoundTiming::with_sharded_stages(
+            vec![1.0],
+            0.0,
+            0,
+            vec![0.1],
+            vec![0.1],
+            vec![0.1],
+            0.0,
+        );
     }
 }

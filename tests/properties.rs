@@ -153,8 +153,8 @@ proptest! {
         sync in 0.0f64..3.0,
     ) {
         let totals: Vec<f64> = iter_durations.iter().map(|d| d * tau as f64).collect();
-        let timing = RoundTiming::with_split_stages(
-            totals, sync, tau, ingress, server_critical, server_overlap);
+        let timing = RoundTiming::with_sharded_stages(
+            totals, sync, tau, vec![ingress], vec![server_critical], vec![server_overlap], 0.0);
         let barrier = timing.barrier_completion_time();
         let pipelined = timing.pipelined_completion_time();
 
@@ -207,9 +207,10 @@ proptest! {
 
         // The same total load concentrated on one PS (no sync needed there) is never
         // cheaper than the sharded layout with the sync stripped.
-        let one_ps = RoundTiming::with_split_stages(
+        let one_ps = RoundTiming::with_sharded_stages(
             totals, sync, tau,
-            ingress.iter().sum(), critical.iter().sum(), overlap.iter().sum());
+            vec![ingress.iter().sum()], vec![critical.iter().sum()], vec![overlap.iter().sum()],
+            0.0);
         let sharded_no_sync = RoundTiming::with_sharded_stages(
             sharded.worker_durations.clone(), sync, tau, ingress, critical, overlap, 0.0);
         prop_assert!(sharded_no_sync.barrier_completion_time() <= one_ps.barrier_completion_time() + 1e-9);
