@@ -4,9 +4,8 @@
 //! time (Figs. 6–7), time-to-accuracy, network traffic to reach a target accuracy (Fig. 8),
 //! and average per-round waiting time (Fig. 9).
 
-use crate::json::{self, JsonValue};
+use crate::json;
 use crate::sfl::server::ShardTopology;
-use mergesfl_simnet::profile::{SERVER_CRITICAL_FRACTION, SERVER_GFLOPS};
 use serde::{Deserialize, Serialize};
 
 /// Per-shard slice of one round's server-side timing: how one parameter-server instance
@@ -62,17 +61,16 @@ pub struct RoundRecord {
     /// KL divergence of the selected cohort's label mixture from the IID reference.
     pub cohort_kl: f32,
     /// Registered fleet size the round planned over (equals the worker count for
-    /// classic fixed-cohort runs; 0 for legacy records).
+    /// classic fixed-cohort runs).
     pub fleet_registered: usize,
     /// Per-client registry records the planner actually touched this round — the active
-    /// set of the event-driven fleet path (the whole fleet on the dense path; 0 for
-    /// legacy records). The scalability contract is `fleet_active ≪ fleet_registered`.
+    /// set of the event-driven fleet path (the whole fleet on the dense path). The
+    /// scalability contract is `fleet_active ≪ fleet_registered`.
     pub fleet_active: usize,
     /// Per-shard server-side breakdown of the round (one entry per parameter-server
-    /// shard the plan routed uploads to; empty for FL rounds and legacy records).
+    /// shard the plan routed uploads to; empty for FL rounds and skipped rounds).
     pub shards: Vec<ShardBreakdown>,
-    /// Server topology the round trained under (`Replicated` for FL rounds and legacy
-    /// records — the only layout that existed before topologies were recorded).
+    /// Server topology the round trained under (`Replicated` for FL rounds).
     pub topology: ShardTopology,
     /// Cross-shard top-model sync charged this round, seconds (0 when no sync was due,
     /// a single shard serves the round, or the topology never syncs state).
@@ -83,26 +81,26 @@ pub struct RoundRecord {
     /// sync reported in `cross_sync_seconds`).
     pub exchange_bytes: f64,
     /// Calibrated server throughput the round was charged at, GFLOP/s
-    /// (`mergesfl::calibrate::ServerCostModel`; the global constant for legacy records).
+    /// (`mergesfl::calibrate::ServerCostModel`; the global constant for FL rounds).
     pub server_gflops: f64,
     /// Calibrated dispatch-critical fraction of a server step the round was charged with.
     pub server_critical_fraction: f64,
-    /// Bounded-staleness window `k` the round trained under (0 for the synchronous loop,
-    /// FL rounds and legacy records).
+    /// Bounded-staleness window `k` the round trained under (0 for the synchronous loop
+    /// and FL rounds).
     pub staleness: usize,
     /// Histogram of observed top-model version lags this round (index = lag in optimizer
     /// steps, length `staleness + 1`); empty for synchronous rounds, FL rounds and
-    /// legacy records.
+    /// skipped rounds.
     pub version_lag: Vec<usize>,
     /// Pages held by the tensor memory pool at the end of the round (cumulative: pages
-    /// are never freed, only recycled). 0 for legacy records and pool-disabled runs.
+    /// are never freed, only recycled). 0 for pool-disabled runs.
     pub pool_pages: usize,
-    /// Bytes held by the tensor memory pool at the end of the round. 0 for legacy
-    /// records and pool-disabled runs.
+    /// Bytes held by the tensor memory pool at the end of the round. 0 for pool-disabled
+    /// runs.
     pub pool_bytes: usize,
     /// Fraction of this round's pool checkouts served without a heap allocation
     /// (local hit or reservoir refill). 1.0 after warmup on the steady-state path;
-    /// 0.0 for legacy records and pool-disabled runs.
+    /// 0.0 for pool-disabled runs.
     pub pool_hit_rate: f64,
 }
 
@@ -325,160 +323,12 @@ impl RunResult {
         out.push_str("]}");
         out
     }
-
-    /// Parses a result previously produced by [`RunResult::to_json`].
-    pub fn from_json(text: &str) -> Result<Self, String> {
-        let doc = json::parse(text)?;
-        let str_field = |key: &str| -> Result<String, String> {
-            doc.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("missing string field '{key}'"))
-        };
-        // `to_json` writes non-finite floats as `null` (JSON has no NaN/inf), so a float
-        // field that parses as null round-trips back to NaN rather than failing — a
-        // diverged run's trace must stay readable. Integer fields still reject null.
-        let num = |value: &JsonValue, key: &str| -> Result<f64, String> {
-            match value.get(key) {
-                Some(JsonValue::Null) => Ok(f64::NAN),
-                other => other
-                    .and_then(JsonValue::as_f64)
-                    .ok_or_else(|| format!("missing numeric field '{key}'")),
-            }
-        };
-        let int = |value: &JsonValue, key: &str| -> Result<usize, String> {
-            let n = value
-                .get(key)
-                .and_then(JsonValue::as_f64)
-                .ok_or_else(|| format!("missing integer field '{key}'"))?;
-            if n.is_finite() && n >= 0.0 {
-                Ok(n as usize)
-            } else {
-                Err(format!("field '{key}' is not a valid non-negative integer"))
-            }
-        };
-        let mut result = RunResult::new(&str_field("approach")?, &str_field("dataset")?, 0.0);
-        result.non_iid_level = num(&doc, "non_iid_level")? as f32;
-        let records = doc
-            .get("records")
-            .and_then(JsonValue::as_array)
-            .ok_or("missing 'records' array")?;
-        // Fields introduced by the sharded-server refactor are optional so traces written
-        // by the single-server versions of this format keep parsing: legacy records get
-        // an empty shard breakdown, no sync cost and the old global cost constants.
-        let opt_num = |value: &JsonValue, key: &str, default: f64| -> Result<f64, String> {
-            match value.get(key) {
-                None => Ok(default),
-                Some(JsonValue::Null) => Ok(f64::NAN),
-                Some(v) => v
-                    .as_f64()
-                    .ok_or_else(|| format!("non-numeric field '{key}'")),
-            }
-        };
-        for r in records {
-            let shards = match r.get("shards") {
-                None => Vec::new(),
-                Some(v) => {
-                    let entries = v.as_array().ok_or("non-array 'shards'")?;
-                    let mut out = Vec::with_capacity(entries.len());
-                    for s in entries {
-                        out.push(ShardBreakdown {
-                            shard: int(s, "shard")?,
-                            participants: int(s, "participants")?,
-                            batch: int(s, "batch")?,
-                            ingress_seconds: num(s, "ingress_seconds")?,
-                            server_critical_seconds: num(s, "server_critical_seconds")?,
-                            server_overlap_seconds: num(s, "server_overlap_seconds")?,
-                        });
-                    }
-                    out
-                }
-            };
-            result.push(RoundRecord {
-                round: int(r, "round")?,
-                sim_time: num(r, "sim_time")?,
-                accuracy: match r.get("accuracy") {
-                    Some(JsonValue::Null) | None => None,
-                    Some(v) => Some(v.as_f64().ok_or("non-numeric 'accuracy'")? as f32),
-                },
-                train_loss: num(r, "train_loss")? as f32,
-                avg_waiting_time: num(r, "avg_waiting_time")?,
-                round_makespan_barrier: num(r, "round_makespan_barrier")?,
-                round_makespan_pipelined: num(r, "round_makespan_pipelined")?,
-                traffic_mb: num(r, "traffic_mb")?,
-                participants: int(r, "participants")?,
-                total_batch: int(r, "total_batch")?,
-                cohort_kl: num(r, "cohort_kl")? as f32,
-                // Records written before the fleet axis planned over exactly the worker
-                // set but did not say so; 0 keeps them distinguishable from real gauges.
-                fleet_registered: match r.get("fleet_registered") {
-                    None => 0,
-                    Some(_) => int(r, "fleet_registered")?,
-                },
-                fleet_active: match r.get("fleet_active") {
-                    None => 0,
-                    Some(_) => int(r, "fleet_active")?,
-                },
-                shards,
-                // Legacy records predate topology accounting: everything written before
-                // output partitioning existed was the replicated layout (or a single
-                // server, which the replicated name covers) with no activation exchange.
-                topology: r
-                    .get("topology")
-                    .and_then(JsonValue::as_str)
-                    .and_then(ShardTopology::parse)
-                    .unwrap_or_default(),
-                exchange_bytes: opt_num(r, "exchange_bytes", 0.0)?,
-                cross_sync_seconds: opt_num(r, "cross_sync_seconds", 0.0)?,
-                server_gflops: opt_num(r, "server_gflops", SERVER_GFLOPS)?,
-                server_critical_fraction: opt_num(
-                    r,
-                    "server_critical_fraction",
-                    SERVER_CRITICAL_FRACTION,
-                )?,
-                // Records written before the bounded-staleness mode are synchronous:
-                // window 0, no lag histogram.
-                staleness: match r.get("staleness") {
-                    None => 0,
-                    Some(_) => int(r, "staleness")?,
-                },
-                // Records written before the tensor memory pool report no pool activity.
-                pool_pages: match r.get("pool_pages") {
-                    None => 0,
-                    Some(_) => int(r, "pool_pages")?,
-                },
-                pool_bytes: match r.get("pool_bytes") {
-                    None => 0,
-                    Some(_) => int(r, "pool_bytes")?,
-                },
-                pool_hit_rate: opt_num(r, "pool_hit_rate", 0.0)?,
-                version_lag: match r.get("version_lag") {
-                    None => Vec::new(),
-                    Some(v) => {
-                        let entries = v.as_array().ok_or("non-array 'version_lag'")?;
-                        let mut out = Vec::with_capacity(entries.len());
-                        for e in entries {
-                            let n = e.as_f64().ok_or("non-numeric 'version_lag' entry")?;
-                            if !n.is_finite() || n < 0.0 {
-                                return Err(
-                                    "'version_lag' entry is not a valid non-negative integer"
-                                        .to_string(),
-                                );
-                            }
-                            out.push(n as usize);
-                        }
-                        out
-                    }
-                },
-            });
-        }
-        Ok(result)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::json::JsonValue;
 
     fn record(round: usize, time: f64, acc: Option<f32>, traffic: f64) -> RoundRecord {
         RoundRecord {
@@ -578,120 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn json_roundtrip() {
-        let r = sample_run();
-        let json = r.to_json();
-        let back = RunResult::from_json(&json).unwrap();
-        assert_eq!(back, r);
-        assert_eq!(back.approach, "MergeSFL");
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_unevaluated_rounds() {
-        let r = sample_run();
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.records[1].accuracy, None);
-        assert_eq!(back.records[0].accuracy, Some(0.2));
-    }
-
-    #[test]
-    fn json_roundtrip_survives_non_finite_losses() {
-        // A diverged run writes NaN/inf floats as `null`; parsing must map them back to
-        // NaN instead of rejecting the document, so the trace stays readable.
-        let mut r = sample_run();
-        r.records[1].train_loss = f32::NAN;
-        r.records[2].avg_waiting_time = f64::INFINITY;
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        assert!(back.records[1].train_loss.is_nan());
-        assert!(back.records[2].avg_waiting_time.is_nan());
-        assert_eq!(back.records[0], r.records[0]);
-    }
-
-    #[test]
-    fn from_json_rejects_malformed_input() {
-        assert!(RunResult::from_json("not json").is_err());
-        assert!(RunResult::from_json("{}").is_err());
-        assert!(RunResult::from_json(r#"{"approach":"A","dataset":"B"}"#).is_err());
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_the_per_shard_breakdown() {
-        let r = sample_run();
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.records[0].shards.len(), 2);
-        assert_eq!(back.records[0].shards[1].shard, 1);
-        assert_eq!(back.records[0].shards[1].batch, 16);
-        assert_eq!(back.records[0].shards[0].ingress_seconds, 0.004);
-        assert_eq!(back.records[1].cross_sync_seconds, 0.006);
-        assert_eq!(back.records[0].topology, ShardTopology::Replicated);
-        assert_eq!(back.records[1].topology, ShardTopology::OutputPartitioned);
-        assert_eq!(back.records[0].exchange_bytes, 0.0);
-        assert_eq!(back.records[1].exchange_bytes, 81_920.0);
-        assert_eq!(back.records[0].server_gflops, 450.25);
-        assert_eq!(back.records[0].server_critical_fraction, 0.7);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn legacy_single_shard_records_still_parse() {
-        // A record written before the sharded-server refactor: no shards array, no sync
-        // cost, no calibrated constants. Parsing must succeed with the documented
-        // defaults so fig8/fig9 post-processing keeps working on archived traces.
-        let legacy = r#"{"approach":"MergeSFL","dataset":"HAR","non_iid_level":10,
-"records":[{"round":0,"sim_time":10,"accuracy":0.2,"train_loss":1,
-"avg_waiting_time":2,"round_makespan_barrier":12,"round_makespan_pipelined":9,
-"traffic_mb":5,"participants":5,"total_batch":40,"cohort_kl":0.01}]}"#;
-        let parsed = RunResult::from_json(legacy).unwrap();
-        assert_eq!(parsed.records.len(), 1);
-        let r = &parsed.records[0];
-        assert!(r.shards.is_empty());
-        assert_eq!(r.cross_sync_seconds, 0.0);
-        assert_eq!(r.topology, ShardTopology::Replicated);
-        assert_eq!(r.exchange_bytes, 0.0);
-        assert_eq!(r.server_gflops, mergesfl_simnet::profile::SERVER_GFLOPS);
-        assert_eq!(
-            r.server_critical_fraction,
-            mergesfl_simnet::profile::SERVER_CRITICAL_FRACTION
-        );
-        // Pre-staleness records are synchronous: window 0, no lag histogram.
-        assert_eq!(r.staleness, 0);
-        assert!(r.version_lag.is_empty());
-        // Pre-pool records report no pool activity.
-        assert_eq!(r.pool_pages, 0);
-        assert_eq!(r.pool_bytes, 0);
-        assert_eq!(r.pool_hit_rate, 0.0);
-        // Pre-fleet records carry no fleet gauges.
-        assert_eq!(r.fleet_registered, 0);
-        assert_eq!(r.fleet_active, 0);
-        // And a re-serialised legacy record round-trips through the new schema.
-        let back = RunResult::from_json(&parsed.to_json()).unwrap();
-        assert_eq!(back, parsed);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_the_version_lag_histogram() {
-        let r = sample_run();
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.records[0].staleness, 0);
-        assert!(back.records[0].version_lag.is_empty());
-        assert_eq!(back.records[1].staleness, 2);
-        assert_eq!(back.records[1].version_lag, vec![1, 3, 12]);
-        assert_eq!(back, r);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_the_pool_gauges() {
-        // Equality ignores the pool gauges, so their roundtrip is pinned field by field.
-        let r = sample_run();
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        for rec in &back.records {
-            assert_eq!(rec.pool_pages, 17);
-            assert_eq!(rec.pool_bytes, 1_048_576);
-            assert_eq!(rec.pool_hit_rate, 0.96875);
-        }
-    }
-
-    #[test]
     fn equality_compares_the_trajectory_not_the_pool_gauges() {
         // Two same-seed runs in one process see different pool warmth (first run fills
         // the arena, second run hits it), so trace equality must not depend on the
@@ -705,21 +441,117 @@ mod tests {
         let mut diverged = r.clone();
         diverged.records[0].train_loss += 1.0;
         assert_ne!(diverged, r);
-    }
-
-    #[test]
-    fn json_roundtrip_preserves_the_fleet_gauges() {
         // Unlike the pool gauges, the fleet gauges are part of the trajectory: a planner
         // that touched a different number of registry records made different decisions.
-        let r = sample_run();
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        for rec in &back.records {
-            assert_eq!(rec.fleet_registered, 100_000);
-            assert_eq!(rec.fleet_active, 64);
-        }
         let mut diverged = r.clone();
         diverged.records[0].fleet_active += 1;
         assert_ne!(diverged, r, "fleet gauges must participate in equality");
+    }
+
+    #[test]
+    fn to_json_writes_every_record_field() {
+        // The writer's schema, key by key: every record field under its own name, a
+        // non-finite float as `null`, unevaluated accuracy as `null`, and the version-lag
+        // histogram and per-shard breakdown as arrays.
+        let mut run = sample_run();
+        run.records[1].train_loss = f32::NAN;
+        run.records[2].avg_waiting_time = f64::INFINITY;
+        let doc = json::parse(&run.to_json()).expect("to_json writes valid JSON");
+
+        let num = |v: f64| {
+            if v.is_finite() {
+                JsonValue::Number(v)
+            } else {
+                JsonValue::Null
+            }
+        };
+        let int = |v: usize| JsonValue::Number(v as f64);
+        let text = |v: &str| JsonValue::String(v.to_string());
+        let object = |fields: Vec<(&str, JsonValue)>| {
+            JsonValue::Object(
+                fields
+                    .into_iter()
+                    .map(|(k, v)| (k.to_string(), v))
+                    .collect(),
+            )
+        };
+        let records = run
+            .records
+            .iter()
+            .map(|r| {
+                let shards = r
+                    .shards
+                    .iter()
+                    .map(|s| {
+                        object(vec![
+                            ("shard", int(s.shard)),
+                            ("participants", int(s.participants)),
+                            ("batch", int(s.batch)),
+                            ("ingress_seconds", num(s.ingress_seconds)),
+                            ("server_critical_seconds", num(s.server_critical_seconds)),
+                            ("server_overlap_seconds", num(s.server_overlap_seconds)),
+                        ])
+                    })
+                    .collect();
+                object(vec![
+                    ("round", int(r.round)),
+                    ("sim_time", num(r.sim_time)),
+                    (
+                        "accuracy",
+                        r.accuracy.map_or(JsonValue::Null, |a| num(a.into())),
+                    ),
+                    ("train_loss", num(r.train_loss.into())),
+                    ("avg_waiting_time", num(r.avg_waiting_time)),
+                    ("round_makespan_barrier", num(r.round_makespan_barrier)),
+                    ("round_makespan_pipelined", num(r.round_makespan_pipelined)),
+                    ("traffic_mb", num(r.traffic_mb)),
+                    ("participants", int(r.participants)),
+                    ("total_batch", int(r.total_batch)),
+                    ("cohort_kl", num(r.cohort_kl.into())),
+                    ("fleet_registered", int(r.fleet_registered)),
+                    ("fleet_active", int(r.fleet_active)),
+                    ("server_gflops", num(r.server_gflops)),
+                    ("server_critical_fraction", num(r.server_critical_fraction)),
+                    ("cross_sync_seconds", num(r.cross_sync_seconds)),
+                    ("topology", text(r.topology.name())),
+                    ("exchange_bytes", num(r.exchange_bytes)),
+                    ("pool_pages", int(r.pool_pages)),
+                    ("pool_bytes", int(r.pool_bytes)),
+                    ("pool_hit_rate", num(r.pool_hit_rate)),
+                    ("staleness", int(r.staleness)),
+                    (
+                        "version_lag",
+                        JsonValue::Array(r.version_lag.iter().map(|&n| int(n)).collect()),
+                    ),
+                    ("shards", JsonValue::Array(shards)),
+                ])
+            })
+            .collect();
+        let expected = object(vec![
+            ("approach", text("MergeSFL")),
+            ("dataset", text("CIFAR-10")),
+            ("non_iid_level", num(10.0)),
+            ("records", JsonValue::Array(records)),
+        ]);
+        assert_eq!(doc, expected);
+
+        // The same document, spot-checked against literal values.
+        let records = doc.get("records").and_then(JsonValue::as_array).unwrap();
+        assert_eq!(records.len(), 4);
+        assert_eq!(records[1].get("train_loss"), Some(&JsonValue::Null));
+        assert_eq!(records[1].get("accuracy"), Some(&JsonValue::Null));
+        assert_eq!(records[2].get("avg_waiting_time"), Some(&JsonValue::Null));
+        assert_eq!(
+            records[1].get("version_lag"),
+            Some(&JsonValue::Array(vec![int(1), int(3), int(12)]))
+        );
+        assert_eq!(records[1].get("topology"), Some(&text("partitioned")));
+        let shards = records[0]
+            .get("shards")
+            .and_then(JsonValue::as_array)
+            .unwrap();
+        assert_eq!(shards[1].get("batch"), Some(&int(16)));
+        assert_eq!(shards[0].get("ingress_seconds"), Some(&num(0.004)));
     }
 
     #[test]
@@ -733,8 +565,5 @@ mod tests {
         let r = sample_run();
         assert!((r.total_barrier_makespan() - 48.0).abs() < 1e-9);
         assert!((r.total_pipelined_makespan() - 36.0).abs() < 1e-9);
-        let back = RunResult::from_json(&r.to_json()).unwrap();
-        assert_eq!(back.records[0].round_makespan_barrier, 12.0);
-        assert_eq!(back.records[0].round_makespan_pipelined, 9.0);
     }
 }
