@@ -452,33 +452,33 @@ impl SflEngine {
         // --- Simulated timing (Eq. 7–8, plus the per-shard stage breakdown for the
         // pipelined makespan). The clock advances by the schedule the run is configured
         // for; both makespans are recorded so one run reports the pipeline's win.
-        let timing = (!skipped).then(|| self.round_timing(&plan, tau, cross_sync_seconds));
-        match &timing {
-            Some((timing, _)) => {
-                self.clock.advance_round(timing);
-            }
-            None => self.clock.advance_by(cross_sync_seconds),
-        }
-
-        // --- Evaluation and bookkeeping. ---
-        let evaluate = !skipped
-            && (round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds);
-        let accuracy = evaluate.then(|| self.evaluate_global());
-        let version_lag = if skipped {
-            Vec::new()
-        } else {
-            self.server.take_lag_counts()
-        };
         let (avg_waiting_time, round_makespan_barrier, round_makespan_pipelined, shards) =
-            match timing {
-                Some((timing, shards)) => (
+            if skipped {
+                self.clock.advance_by(cross_sync_seconds);
+                (0.0, cross_sync_seconds, cross_sync_seconds, Vec::new())
+            } else {
+                let (timing, shards) = self.round_timing(&plan, tau, cross_sync_seconds);
+                self.clock.advance_round(&timing);
+                (
                     timing.average_waiting_time(),
                     timing.barrier_completion_time(),
                     timing.pipelined_completion_time(),
                     shards,
-                ),
-                None => (0.0, cross_sync_seconds, cross_sync_seconds, Vec::new()),
+                )
             };
+
+        // --- Evaluation and bookkeeping. A skipped round trained nothing, so it is not
+        // evaluated and no step observed a version lag.
+        let (accuracy, version_lag) = if skipped {
+            (None, Vec::new())
+        } else {
+            let evaluate =
+                round.is_multiple_of(self.config.eval_every) || round + 1 == self.config.rounds;
+            (
+                evaluate.then(|| self.evaluate_global()),
+                self.server.take_lag_counts(),
+            )
+        };
         let pool = mergesfl_nn::pool::stats();
         self.result.push(RoundRecord {
             round,
@@ -883,7 +883,7 @@ fn routed_uploads<'a>(
 /// Combines per-group iteration losses (each a mean over the group's `samples`) into the
 /// iteration's sample-weighted mean loss. A single group passes its loss through
 /// untouched, keeping single-server trajectories bit-identical.
-fn combine_shard_losses(per_group: &[GroupStep]) -> f32 {
+fn combine_group_losses(per_group: &[GroupStep]) -> f32 {
     match per_group {
         [] => 0.0,
         [one] => one.loss,
@@ -950,7 +950,7 @@ impl ServerStage<'_> {
             });
             gradients.extend(step.gradients);
         }
-        let loss = combine_shard_losses(&steps);
+        let loss = combine_group_losses(&steps);
         let dispatched = dispatch(align_gradients(&plan.selected, gradients));
         if self.merging {
             for step in &steps {
