@@ -33,9 +33,8 @@
 //!
 //! Every measurement reports the best wall-clock time over several repetitions, which is
 //! robust against scheduler noise on shared CI runners. Allocation counts are measured
-//! after the timing phase with the fan-out pinned to one thread
-//! (`rayon::set_num_threads(1)`), so thread-spawn allocations on multi-core runners
-//! don't pollute the steady-state count.
+//! after the timing phase, in the same configuration the timing phase runs: kernels
+//! never spawn threads, so no thread count needs pinning.
 
 use mergesfl::json::{self, write_f64, JsonValue};
 use mergesfl_nn::kernels::conv::{conv_backward, conv_forward, ConvGeom};
@@ -870,11 +869,9 @@ fn main() {
         results.push(r);
     }
 
-    // Allocation phase, after all timing: pin the fan-out to one thread so scoped
-    // thread spawns on multi-core runners stay out of the steady-state count.
+    // Allocation phase, after all timing.
     let mut double_gate_allocs: Option<f64> = None;
     if mergesfl_nn::pool::count_allocs() {
-        rayon::set_num_threads(1);
         println!();
         for (entry, r) in zoo().iter().zip(results.iter_mut()) {
             let allocs = measure_allocs(entry);
@@ -917,7 +914,6 @@ fn main() {
                 double_gate_allocs = Some(allocs);
             }
         }
-        rayon::set_num_threads(0);
     }
 
     if emit_json {

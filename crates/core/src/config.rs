@@ -43,9 +43,11 @@ pub struct RunConfig {
     pub seed: u64,
     /// Moving-average factor α for worker-state estimation (paper uses 0.8).
     pub estimate_alpha: f32,
-    /// Fan per-round worker training out across OS threads. Runs are bit-identical to
-    /// sequential execution: every worker owns an RNG derived from the base seed via
-    /// `derive_seed`, and results are always reduced in cohort order.
+    /// Fan per-round worker training out across OS threads. This worker fan-out is the
+    /// only parallelism in training (kernels never split themselves over threads), so
+    /// `false` trains on one thread (a pipelined run still adds its stage thread). Runs
+    /// are bit-identical to sequential execution: every worker owns an RNG derived from
+    /// the base seed via `derive_seed`, and results are always reduced in cohort order.
     pub parallel: bool,
     /// Stage each round through a producer/consumer pipeline so iteration `h+1` worker
     /// compute overlaps iteration `h` server compute, and charge simulated time with the
@@ -148,7 +150,8 @@ pub fn tensor_pool_from_env() -> bool {
 }
 
 /// Reads the top-model shard count from the `MERGESFL_NUM_SERVERS` environment variable;
-/// unset, empty or unparsable values keep the single-server default of 1.
+/// unset, empty or zero values keep the single-server default of 1, and unparsable ones
+/// panic.
 pub fn num_servers_from_env() -> usize {
     env::parsed::<usize>("MERGESFL_NUM_SERVERS")
         .filter(|&n| n >= 1)
@@ -156,7 +159,7 @@ pub fn num_servers_from_env() -> usize {
 }
 
 /// Reads the cross-shard sync period from the `MERGESFL_SYNC_EVERY` environment variable;
-/// unset, empty or unparsable values sync every round.
+/// unset, empty or zero values sync every round, and unparsable ones panic.
 pub fn sync_every_from_env() -> usize {
     env::parsed::<usize>("MERGESFL_SYNC_EVERY")
         .filter(|&n| n >= 1)
@@ -164,13 +167,14 @@ pub fn sync_every_from_env() -> usize {
 }
 
 /// Reads the bounded-staleness window from the `MERGESFL_STALENESS` environment variable;
-/// unset, empty or unparsable values keep the synchronous default of 0.
+/// unset or empty values keep the synchronous default of 0, and unparsable ones panic.
 pub fn staleness_from_env() -> usize {
     env::parsed::<usize>("MERGESFL_STALENESS").unwrap_or(0)
 }
 
 /// Reads the registered-fleet size from the `MERGESFL_FLEET` environment variable;
-/// unset, empty, zero or unparsable values keep the classic `None` (fleet == workers).
+/// unset, empty or zero values keep the classic `None` (fleet == workers), and
+/// unparsable ones panic.
 pub fn fleet_from_env() -> Option<usize> {
     env::parsed::<usize>("MERGESFL_FLEET").filter(|&n| n >= 1)
 }
@@ -181,8 +185,8 @@ pub fn churn_from_env() -> bool {
     env::flag_on("MERGESFL_CHURN")
 }
 
-/// Reads the churn wave period (rounds) from `MERGESFL_CHURN_PERIOD`; unset, empty,
-/// zero or unparsable values keep the default of 48 rounds per cycle.
+/// Reads the churn wave period (rounds) from `MERGESFL_CHURN_PERIOD`; unset, empty or
+/// zero values keep the default of 48 rounds per cycle, and unparsable ones panic.
 pub fn churn_period_from_env() -> usize {
     env::parsed::<usize>("MERGESFL_CHURN_PERIOD")
         .filter(|&n| n >= 1)
@@ -190,7 +194,7 @@ pub fn churn_period_from_env() -> usize {
 }
 
 /// Reads the availability floor from `MERGESFL_CHURN_MIN_AVAIL`; values outside (0, 1]
-/// (or unset/unparsable) keep the default floor of 0.6.
+/// (or unset) keep the default floor of 0.6, and unparsable ones panic.
 pub fn churn_min_availability_from_env() -> f64 {
     env::parsed::<f64>("MERGESFL_CHURN_MIN_AVAIL")
         .filter(|&v| v > 0.0 && v <= 1.0)
@@ -198,7 +202,7 @@ pub fn churn_min_availability_from_env() -> f64 {
 }
 
 /// Reads the mid-round dropout probability from `MERGESFL_CHURN_DROPOUT`; values outside
-/// [0, 1) (or unset/unparsable) keep the default of 0.05.
+/// [0, 1) (or unset) keep the default of 0.05, and unparsable ones panic.
 pub fn churn_dropout_from_env() -> f64 {
     env::parsed::<f64>("MERGESFL_CHURN_DROPOUT")
         .filter(|&v| (0.0..1.0).contains(&v))

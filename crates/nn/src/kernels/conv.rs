@@ -40,11 +40,6 @@
 
 use super::micro::{multiversion, Multiversion};
 use super::{init_bias_planes, KernelBackend};
-use rayon::prelude::*;
-
-/// Minimum number of forward flops before the direct path fans the batch out across
-/// threads; each image owns a disjoint output slice, so results never depend on this.
-const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// Widest vector any instantiation uses (AVX-512F, 16 lanes): sizes the staging slack
 /// that the last, partly used vector of a row may read.
@@ -492,7 +487,7 @@ fn lanes<const L: usize, const UNIT: bool>(x: &[f32], at: usize, step: usize) ->
     }
 }
 
-/// Read-only state of one forward call, shared by the per-image tasks.
+/// Read-only state of one forward call.
 struct ForwardPlan<'a> {
     g: &'a ConvGeom,
     lay: Wide,
@@ -503,12 +498,13 @@ struct ForwardPlan<'a> {
     bias: &'a [f32],
 }
 
-/// One forward task: consecutive images with their outputs, and its own scratch.
+/// One forward call: the batch's images with their outputs, and the scratch they are
+/// staged in.
 struct Forward<'a> {
     plan: &'a ForwardPlan<'a>,
-    /// The task's `[img, c_in, h, w]` inputs.
+    /// The batch's `[n, c_in, h, w]` inputs.
     x: &'a [f32],
-    /// The task's `[img, c_out, h_out, w_out]` outputs.
+    /// The batch's `[n, c_out, h_out, w_out]` outputs.
     out: &'a mut [f32],
     /// One staged image, plus the slack its last vectors may read.
     xs: &'a mut [f32],
@@ -606,33 +602,18 @@ fn forward_direct(g: &ConvGeom, x: &[f32], weight: &[f32], bias: &[f32], out: &m
         weight,
         bias,
     };
-    // Each task stages its images one at a time into scratch from its thread's pool.
-    let task = |x: &[f32], out: &mut [f32]| {
-        let mut xs = crate::pool::take_uninit::<f32>(staged_len);
-        let mut wide = crate::pool::take_uninit::<f32>(wide_len);
-        multiversion(&mut Forward {
-            plan: &plan,
-            x,
-            out,
-            xs: &mut xs,
-            wide: &mut wide,
-        });
-        crate::pool::recycle(xs);
-        crate::pool::recycle(wide);
-    };
-    let (per_in, per_out) = (g.per_image_in(), g.per_image_out());
-    let flops = 2 * g.n * per_out * g.patch_len();
-    if rayon::current_num_threads() > 1 && g.n > 1 && flops >= PAR_MIN_FLOPS {
-        // One image per task: disjoint output slices, fixed order.
-        // lint: allow(hot-path-alloc) multi-core fan-out task list; the alloc-gated
-        // single-core path never reaches here
-        let tasks: Vec<(usize, &mut [f32])> = out.chunks_mut(per_out).enumerate().collect();
-        tasks
-            .into_par_iter()
-            .for_each(|(ni, out_img)| task(&x[ni * per_in..][..per_in], out_img));
-    } else {
-        task(x, out);
-    }
+    // The images are staged one at a time into pooled scratch.
+    let mut xs = crate::pool::take_uninit::<f32>(staged_len);
+    let mut wide = crate::pool::take_uninit::<f32>(wide_len);
+    multiversion(&mut Forward {
+        plan: &plan,
+        x,
+        out,
+        xs: &mut xs,
+        wide: &mut wide,
+    });
+    crate::pool::recycle(xs);
+    crate::pool::recycle(wide);
     crate::pool::recycle(taps);
 }
 
@@ -976,28 +957,6 @@ mod tests {
             assert!(gi.is_empty());
             assert!(gw.iter().all(|&v| v == 0.0) && gb.iter().all(|&v| v == 0.0));
         }
-    }
-
-    #[test]
-    fn per_image_fan_out_matches_the_serial_forward() {
-        // Big enough to cross PAR_MIN_FLOPS: 2·8·16·256·72 flops.
-        let geom = ConvGeom::conv2d(8, 8, 16, 16, 16, 3, 1, 1);
-        let mut rng = seeded(40);
-        let x = random_vec(&mut rng, geom.n * geom.per_image_in());
-        let weight = random_vec(&mut rng, geom.c_out * geom.patch_len());
-        let bias = random_vec(&mut rng, geom.c_out);
-        let run = |threads| {
-            rayon::set_num_threads(threads);
-            let y = conv_forward(KernelBackend::Blocked, &geom, &x, &weight, &bias);
-            rayon::set_num_threads(0);
-            y
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(
-            serial,
-            conv_forward(KernelBackend::Naive, &geom, &x, &weight, &bias)
-        );
     }
 
     #[test]

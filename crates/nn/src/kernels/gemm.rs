@@ -23,21 +23,14 @@
 //! schemes, stagings and micro-kernels produce bit-identical results on finite inputs,
 //! which is what lets the naive backend serve as a strict oracle.
 //!
-//! When the host has more than one core and the product is large enough, the row dimension
-//! is split into one contiguous panel per thread (via the rayon shim). Each thread owns a
-//! disjoint slice of C and performs the identical per-element accumulation, so results do
-//! not depend on the thread count — parallelism changes wall-clock time only.
-
-use rayon::prelude::*;
+//! Every driver runs on the calling thread (the double-buffered one adds its packer). The
+//! engine already fans training out across workers, so a GEMM never splits itself over
+//! threads, and its plan does not depend on the thread count.
 
 use super::micro::{self, MicroKernelId, MicroSelect};
 use super::runtime::{record_stage_wait, select, GemmPlan};
 use super::tiling::{PartitionSize, Staging, TilingScheme};
 use super::KernelBackend;
-
-/// Minimum number of floating-point operations (`2·m·n·k`) before the blocked path fans
-/// out across threads; below this the spawn overhead dominates.
-const PAR_MIN_FLOPS: usize = 1 << 22;
 
 /// Operand layout of a GEMM call. `C` is always row-major `[m, n]`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -159,46 +152,7 @@ pub fn gemm_cfg(
         KernelBackend::Blocked => match select(trans, m, n, k) {
             GemmPlan::Naive => gemm_naive(trans, m, n, k, a, b, c),
             GemmPlan::Tiled(scheme, micro) => {
-                let threads = rayon::current_num_threads();
-                let fan_out = scheme.stage != Staging::Direct
-                    && threads > 1
-                    && 2 * m * n * k >= PAR_MIN_FLOPS
-                    && m >= 2 * scheme.tile.mr
-                    && n > 0;
-                if !fan_out {
-                    gemm_dispatch(trans, (m, n, k), a, b, c, 0, m, &scheme, micro);
-                } else {
-                    // The fan-out already owns every core, so each row slice runs
-                    // single-stage: a per-slice pack thread would only oversubscribe.
-                    let slice_scheme = TilingScheme {
-                        stage: Staging::Single,
-                        ..scheme
-                    };
-                    // Fixed panel order: thread t owns rows [t*rows_per, ...), and every
-                    // element is accumulated exactly as in the single-threaded path.
-                    let rows_per = m.div_ceil(threads).max(scheme.tile.mr);
-                    let tasks: Vec<(usize, &mut [f32])> = c
-                        .chunks_mut(rows_per * n)
-                        .enumerate()
-                        .map(|(t, chunk)| (t * rows_per, chunk))
-                        // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-                        // alloc-gated single-core path never reaches here
-                        .collect();
-                    tasks.into_par_iter().for_each(|(row0, c_rows)| {
-                        let m_local = c_rows.len() / n;
-                        gemm_dispatch(
-                            trans,
-                            (m, n, k),
-                            a,
-                            b,
-                            c_rows,
-                            row0,
-                            m_local,
-                            &slice_scheme,
-                            micro,
-                        );
-                    });
-                }
+                gemm_dispatch(trans, (m, n, k), a, b, c, &scheme, micro)
             }
         },
     }
@@ -206,8 +160,8 @@ pub fn gemm_cfg(
 }
 
 /// Full-control entry point: runs one explicit scheme and micro-kernel policy over the
-/// whole output, bypassing runtime selection and the threaded fan-out. The scheme is a
-/// pure performance control — results are bit-identical whatever is passed.
+/// whole output, bypassing runtime selection. The scheme is a pure performance control —
+/// results are bit-identical whatever is passed.
 #[allow(clippy::too_many_arguments)]
 pub fn gemm_with_scheme(
     trans: Trans,
@@ -225,7 +179,7 @@ pub fn gemm_with_scheme(
     assert_eq!(b.len(), k * n, "gemm: B length must be k*n");
     assert_eq!(c.len(), m * n, "gemm: C length must be m*n");
     scheme.validate();
-    gemm_dispatch(trans, (m, n, k), a, b, c, 0, m, scheme, micro);
+    gemm_dispatch(trans, (m, n, k), a, b, c, scheme, micro);
     epilogue.apply(c, n);
 }
 
@@ -315,7 +269,7 @@ fn pack_a(
     trans: Trans,
     a: &[f32],
     (m, k): (usize, usize),
-    row0: usize,
+    ic: usize,
     pc: usize,
     mc_eff: usize,
     kc_eff: usize,
@@ -324,7 +278,7 @@ fn pack_a(
 ) {
     let panels = mc_eff.div_ceil(mr);
     for panel in 0..panels {
-        let i0 = row0 + panel * mr;
+        let i0 = ic + panel * mr;
         let rows = mr.min(mc_eff - panel * mr);
         let dst = &mut ap[panel * mr * kc_eff..(panel + 1) * mr * kc_eff];
         for p in 0..kc_eff {
@@ -411,18 +365,13 @@ fn resolve_16x16(select: MicroSelect) -> MicroFn<16, 16> {
     micro::microkernel_generic::<16, 16>
 }
 
-/// Runs one scheme over the row slice `c_rows` (rows `[row0, row0 + m_local)` of the full
-/// `[m, n]` output). `dims` carries the full problem sizes so the transposed layouts can
-/// index A and B globally.
-#[allow(clippy::too_many_arguments)]
+/// Runs one scheme over the whole `[m, n]` output.
 fn gemm_dispatch(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
+    c: &mut [f32],
     scheme: &TilingScheme,
     select: MicroSelect,
 ) {
@@ -432,85 +381,34 @@ fn gemm_dispatch(
             dims,
             a,
             b,
-            c_rows,
-            row0,
-            m_local,
+            c,
             scheme,
             micro::microkernel_generic::<4, 8>,
         ),
-        (8, 8) => run_tiled::<8, 8>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_8x8(select),
-        ),
-        (16, 8) => run_tiled::<16, 8>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_16x8(select),
-        ),
-        (16, 16) => run_tiled::<16, 16>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            scheme,
-            resolve_16x16(select),
-        ),
+        (8, 8) => run_tiled::<8, 8>(trans, dims, a, b, c, scheme, resolve_8x8(select)),
+        (16, 8) => run_tiled::<16, 8>(trans, dims, a, b, c, scheme, resolve_16x8(select)),
+        (16, 16) => run_tiled::<16, 16>(trans, dims, a, b, c, scheme, resolve_16x16(select)),
         (mr, nr) => panic!("gemm: unsupported register tile {mr}x{nr}"),
     }
 }
 
-#[allow(clippy::too_many_arguments)]
 fn run_tiled<const TMR: usize, const TNR: usize>(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
+    c: &mut [f32],
     scheme: &TilingScheme,
     micro_fn: MicroFn<TMR, TNR>,
 ) {
     match scheme.stage {
-        Staging::Direct => gemm_direct::<TMR, TNR>(trans, dims, a, b, c_rows, row0, m_local),
-        Staging::Single => gemm_packed_single::<TMR, TNR>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            &scheme.partition,
-            micro_fn,
-        ),
-        Staging::Double => gemm_packed_double::<TMR, TNR>(
-            trans,
-            dims,
-            a,
-            b,
-            c_rows,
-            row0,
-            m_local,
-            &scheme.partition,
-            micro_fn,
-        ),
+        Staging::Direct => gemm_direct::<TMR, TNR>(trans, dims, a, b, c),
+        Staging::Single => {
+            gemm_packed_single::<TMR, TNR>(trans, dims, a, b, c, &scheme.partition, micro_fn)
+        }
+        Staging::Double => {
+            gemm_packed_double::<TMR, TNR>(trans, dims, a, b, c, &scheme.partition, micro_fn)
+        }
     }
 }
 
@@ -531,22 +429,20 @@ fn gemm_direct<const TMR: usize, const TNR: usize>(
     dims: (usize, usize, usize),
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
+    c: &mut [f32],
 ) {
     let (m, n, k) = dims;
-    if m_local == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
-    for i0 in (0..m_local).step_by(TMR) {
-        let rows = TMR.min(m_local - i0);
+    for i0 in (0..m).step_by(TMR) {
+        let rows = TMR.min(m - i0);
         for j0 in (0..n).step_by(TNR) {
             let cols = TNR.min(n - j0);
             let mut acc = [[0.0f32; TNR]; TMR];
             for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
                 let base = (i0 + il) * n + j0;
-                acc_row[..cols].copy_from_slice(&c_rows[base..base + cols]);
+                acc_row[..cols].copy_from_slice(&c[base..base + cols]);
             }
             // Lanes >= cols stay 0.0 for the whole tile, so the full-width MAC
             // below adds exactly 0.0 to accumulator lanes that are never stored.
@@ -566,7 +462,7 @@ fn gemm_direct<const TMR: usize, const TNR: usize>(
                     }
                 }
                 for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                    let av = a_at(trans, a, m, k, row0 + i0 + il, p);
+                    let av = a_at(trans, a, m, k, i0 + il, p);
                     for (cc, &bv) in acc_row.iter_mut().zip(&b_row) {
                         *cc += av * bv;
                     }
@@ -574,7 +470,7 @@ fn gemm_direct<const TMR: usize, const TNR: usize>(
             }
             for (il, acc_row) in acc.iter().enumerate().take(rows) {
                 let base = (i0 + il) * n + j0;
-                c_rows[base..base + cols].copy_from_slice(&acc_row[..cols]);
+                c[base..base + cols].copy_from_slice(&acc_row[..cols]);
             }
         }
     }
@@ -590,7 +486,7 @@ fn gemm_direct<const TMR: usize, const TNR: usize>(
 fn compute_block<const TMR: usize, const TNR: usize>(
     ap: &[f32],
     bp: &[f32],
-    c_rows: &mut [f32],
+    c: &mut [f32],
     n: usize,
     jc: usize,
     ic: usize,
@@ -611,7 +507,7 @@ fn compute_block<const TMR: usize, const TNR: usize>(
             // discarded), fold the panel product into it, store it back.
             let mut acc = [[0.0f32; TNR]; TMR];
             for (il, acc_row) in acc.iter_mut().enumerate().take(rows) {
-                let c_row = &c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
+                let c_row = &c[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
                 acc_row[..cols].copy_from_slice(c_row);
             }
             // SAFETY: the panel layout satisfies the micro-kernel's length
@@ -619,34 +515,31 @@ fn compute_block<const TMR: usize, const TNR: usize>(
             // feature detection (see resolve_8x8 / resolve_16x8).
             unsafe { micro_fn(ap_panel, bp_panel, &mut acc) };
             for (il, acc_row) in acc.iter().enumerate().take(rows) {
-                let c_row = &mut c_rows[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
+                let c_row = &mut c[(i0 + il) * n + j0..(i0 + il) * n + j0 + cols];
                 c_row.copy_from_slice(&acc_row[..cols]);
             }
         }
     }
 }
 
-/// Single-stage packed GEMM over a contiguous row slice of C with a `TMR×TNR` tile:
+/// Single-stage packed GEMM with a `TMR×TNR` tile:
 /// panels are packed inline on the compute thread, B once per `(jc, pc)` block, A once
 /// per `(jc, pc, ic)` block.
-#[allow(clippy::too_many_arguments)]
 fn gemm_packed_single<const TMR: usize, const TNR: usize>(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
+    c: &mut [f32],
     part: &PartitionSize,
     micro_fn: MicroFn<TMR, TNR>,
 ) {
     let (m, n, k) = dims;
-    if m_local == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
     let kc_max = part.kc.min(k);
-    let mc_max = part.mc.min(m_local);
+    let mc_max = part.mc.min(m);
     let nc_max = part.nc.min(n);
     // Pooled packing panels: every used slot (padding lanes included) is rewritten by
     // pack_a / pack_b before the micro-kernel reads it, so stale contents never
@@ -659,22 +552,10 @@ fn gemm_packed_single<const TMR: usize, const TNR: usize>(
         for pc in (0..k).step_by(kc_max) {
             let kc_eff = kc_max.min(k - pc);
             pack_b(trans, b, (n, k), pc, jc, kc_eff, nc_eff, &mut bp, TNR);
-            for ic in (0..m_local).step_by(mc_max) {
-                let mc_eff = mc_max.min(m_local - ic);
-                pack_a(
-                    trans,
-                    a,
-                    (m, k),
-                    row0 + ic,
-                    pc,
-                    mc_eff,
-                    kc_eff,
-                    &mut ap,
-                    TMR,
-                );
-                compute_block::<TMR, TNR>(
-                    &ap, &bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn,
-                );
+            for ic in (0..m).step_by(mc_max) {
+                let mc_eff = mc_max.min(m - ic);
+                pack_a(trans, a, (m, k), ic, pc, mc_eff, kc_eff, &mut ap, TMR);
+                compute_block::<TMR, TNR>(&ap, &bp, c, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn);
             }
         }
     }
@@ -705,8 +586,6 @@ struct PackJob {
     m: usize,
     n: usize,
     k: usize,
-    row0: usize,
-    m_local: usize,
     mc: usize,
     kc: usize,
     nc: usize,
@@ -741,7 +620,7 @@ fn stage_coords(
     ics: usize,
     pcs: usize,
     (mc, kc, nc): (usize, usize, usize),
-    (m_local, n, k): (usize, usize, usize),
+    (m, n, k): (usize, usize, usize),
 ) -> (usize, usize, usize, usize, usize, usize, usize) {
     let g = t / ics;
     let r = t % ics;
@@ -754,7 +633,7 @@ fn stage_coords(
         ic,
         nc.min(n - jc),
         kc.min(k - pc),
-        mc.min(m_local - ic),
+        mc.min(m - ic),
         r,
     )
 }
@@ -785,7 +664,7 @@ fn packer_main(
                 job.ics,
                 job.pcs,
                 (job.mc, job.kc, job.nc),
-                (job.m_local, job.n, job.k),
+                (job.m, job.n, job.k),
             );
             if r == 0 {
                 let g = t / job.ics;
@@ -812,7 +691,7 @@ fn packer_main(
                 job.trans,
                 a,
                 (job.m, job.k),
-                job.row0 + ic,
+                ic,
                 pc,
                 mc_eff,
                 kc_eff,
@@ -873,24 +752,21 @@ std::thread_local! {
 
 /// Double-buffered packed GEMM: identical loop nest and accumulation order to
 /// [`gemm_packed_single`], with packing offloaded to the persistent stage thread.
-#[allow(clippy::too_many_arguments)]
 fn gemm_packed_double<const TMR: usize, const TNR: usize>(
     trans: Trans,
     dims: (usize, usize, usize),
     a: &[f32],
     b: &[f32],
-    c_rows: &mut [f32],
-    row0: usize,
-    m_local: usize,
+    c: &mut [f32],
     part: &PartitionSize,
     micro_fn: MicroFn<TMR, TNR>,
 ) {
     let (m, n, k) = dims;
-    if m_local == 0 || n == 0 || k == 0 {
+    if m == 0 || n == 0 || k == 0 {
         return;
     }
     let kc = part.kc.min(k);
-    let mc = part.mc.min(m_local);
+    let mc = part.mc.min(m);
     let nc = part.nc.min(n);
     let ap_len = mc.div_ceil(TMR) * TMR * kc;
     let bp_len = nc.div_ceil(TNR) * TNR * kc;
@@ -907,7 +783,7 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
         crate::pool::take_uninit::<f32>(bp_len),
     ];
 
-    let ics = m_local.div_ceil(mc);
+    let ics = m.div_ceil(mc);
     let pcs = k.div_ceil(kc);
     let jcs = n.div_ceil(nc);
     let total = jcs * pcs * ics;
@@ -917,8 +793,6 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
         m,
         n,
         k,
-        row0,
-        m_local,
         mc,
         kc,
         nc,
@@ -960,7 +834,7 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
             }
             wait_ns += t0.elapsed().as_nanos() as u64;
             let (jc, _pc, ic, nc_eff, kc_eff, mc_eff, _r) =
-                stage_coords(t, ics, pcs, (mc, kc, nc), (m_local, n, k));
+                stage_coords(t, ics, pcs, (mc, kc, nc), (m, n, k));
             let g = t / ics;
             // SAFETY: ready(t) guarantees the packer has finished writing
             // ap[t % 2] (stage t) and bp[g % 2] (stage pair g) and will not
@@ -972,7 +846,7 @@ fn gemm_packed_double<const TMR: usize, const TNR: usize>(
                     std::slice::from_raw_parts(bp_ptrs[g % 2], bp_len),
                 )
             };
-            compute_block::<TMR, TNR>(ap, bp, c_rows, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn);
+            compute_block::<TMR, TNR>(ap, bp, c, n, jc, ic, mc_eff, nc_eff, kc_eff, micro_fn);
             // The packer only waits for done(t) before packing stage t + 2, so
             // the last two stages need no token (and sending one would strand
             // it in the channel for the next job).
@@ -1104,52 +978,9 @@ mod tests {
     }
 
     #[test]
-    fn row_sliced_execution_matches_naive_for_every_layout() {
-        // Replays exactly what the threaded fan-out does — split C into contiguous row
-        // slices and run the dispatcher on each with its row0 offset — so the non-zero
-        // row0 bookkeeping (including the strided Trans::Tn column indexing of A) is
-        // covered even on single-core hosts where the parallel branch never triggers.
-        let (m, n, k) = (37, 19, 23);
-        for trans in [Trans::Nn, Trans::Nt, Trans::Tn] {
-            let mut rng = seeded(500);
-            let a = random_vec(&mut rng, m * k);
-            let b = random_vec(&mut rng, k * n);
-            let mut c_naive = vec![0.0f32; m * n];
-            gemm_naive(trans, m, n, k, &a, &b, &mut c_naive);
-            for stage in [Staging::Direct, Staging::Single, Staging::Double] {
-                let scheme = TilingScheme::packed(TileSize { mr: 4, nr: 8 }, stage);
-                for rows_per in [5usize, 8, 16, 37] {
-                    let mut c_sliced = vec![0.0f32; m * n];
-                    for (t, chunk) in c_sliced.chunks_mut(rows_per * n).enumerate() {
-                        let m_local = chunk.len() / n;
-                        gemm_dispatch(
-                            trans,
-                            (m, n, k),
-                            &a,
-                            &b,
-                            chunk,
-                            t * rows_per,
-                            m_local,
-                            &scheme,
-                            MicroSelect::Auto,
-                        );
-                    }
-                    assert_eq!(
-                        c_naive,
-                        c_sliced,
-                        "{trans:?} {} diverged with {rows_per} rows per slice",
-                        stage.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn large_product_through_public_api_matches_naive() {
-        // 2*260*100*90 = 4.68M flops clears PAR_MIN_FLOPS (1<<22 = 4.19M) as well as
-        // the packed-scheme threshold, so this exercises runtime selection and, on
-        // multi-core hosts (CI runners), the threaded row-panel fan-out end to end.
+        // 2*260*100*90 = 4.68M flops clears the packed-scheme threshold, so this
+        // exercises runtime selection and the planned packed driver end to end.
         let (m, n, k) = (260, 100, 90);
         let mut rng = seeded(7);
         let a = random_vec(&mut rng, m * k);

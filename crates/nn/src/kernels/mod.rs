@@ -14,11 +14,14 @@
 //!   plus a [`micro`] kernel chosen behind CPU feature detection, and the drivers in
 //!   [`gemm`] execute whatever plan they are handed — including double-buffered
 //!   multi-stage execution, where a persistent packer thread overlaps the next stage's
-//!   packing with the current stage's compute. Intra-op parallelism fans row panels out
-//!   through the rayon shim. Convolutions do not go through the GEMMs: [`conv`] runs a
-//!   direct kernel over a zero-padded staged input in wide-row coordinates, and [`pool`]
-//!   a row-wise max-pool kernel, both written once over `L`-lane arrays and compiled per
-//!   instruction set by [`micro`]'s multiversion dispatch.
+//!   packing with the current stage's compute (only when a tiling override asks for it).
+//!   Convolutions do not go through the GEMMs: [`conv`] runs a direct kernel over a
+//!   zero-padded staged input in wide-row coordinates, and [`pool`] a row-wise max-pool
+//!   kernel, both written once over `L`-lane arrays and compiled per instruction set by
+//!   [`micro`]'s multiversion dispatch.
+//!
+//! No kernel splits itself over threads: the engine fans training out across workers, and
+//! each kernel call runs on the worker thread that made it.
 //!
 //! Both backends are deterministic, and the blocked kernels accumulate every output
 //! element in exactly the same order as the naive loops (the GEMM micro-kernel loads the

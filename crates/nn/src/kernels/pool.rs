@@ -10,14 +10,10 @@
 //! the window's own first element — so a window holding only NaN (or `-inf`) routes its
 //! gradient into itself. The body is multiversioned like the convolution kernel, and the
 //! model zoo's `2 × 2` and `1 × 2` windows get a fast path that vectorises over a row's
-//! windows. Planes own disjoint output slices, so large inputs fan out over the rayon shim
-//! without changing a single result.
+//! windows. Every call runs on the calling thread: the engine's worker fan-out is the one
+//! place training is split across threads.
 
 use super::micro::{multiversion, Multiversion};
-use rayon::prelude::*;
-
-/// Minimum total input elements before plane processing fans out across threads.
-const PAR_MIN_ELEMS: usize = 1 << 16;
 
 /// Max-pools `planes` independent `[h, w]` planes with a `kh × kw` window (stride equal
 /// to the window). Returns the pooled values and, for each output element, the flat index
@@ -40,49 +36,27 @@ pub fn maxpool_forward(
         h >= kh && w >= kw,
         "maxpool_forward: input smaller than window"
     );
-    let out_plane = (h / kh) * (w / kw);
     // Pooled checkouts, not zeroed: the kernel seeds every element before folding.
-    let mut out = crate::pool::take_uninit::<f32>(planes * out_plane);
+    let mut out = crate::pool::take_uninit::<f32>(planes * (h / kh) * (w / kw));
     let mut argmax = crate::pool::take_uninit::<usize>(out.len());
     if out.is_empty() {
         return (out, argmax);
     }
-    let task = |plane0: usize, out: &mut [f32], argmax: &mut [usize]| {
-        multiversion(&mut PoolRows {
-            x,
-            base: plane0 * h * w,
-            h,
-            w,
-            kh,
-            kw,
-            out,
-            argmax,
-        });
-    };
-
-    if rayon::current_num_threads() > 1 && planes > 1 && x.len() >= PAR_MIN_ELEMS {
-        /// One parallel task: a plane index plus its disjoint output and argmax slices.
-        type PlaneTask<'a> = (usize, (&'a mut [f32], &'a mut [usize]));
-        let tasks: Vec<PlaneTask<'_>> = out
-            .chunks_mut(out_plane)
-            .zip(argmax.chunks_mut(out_plane))
-            .enumerate()
-            // lint: allow(hot-path-alloc) multi-core fan-out task list; the
-            // alloc-gated single-core path never reaches here
-            .collect();
-        tasks
-            .into_par_iter()
-            .for_each(|(plane, (out_p, arg_p))| task(plane, out_p, arg_p));
-    } else {
-        task(0, &mut out, &mut argmax);
-    }
+    multiversion(&mut PoolRows {
+        x,
+        h,
+        w,
+        kh,
+        kw,
+        out: &mut out,
+        argmax: &mut argmax,
+    });
     (out, argmax)
 }
 
-/// Consecutive planes of one pooling call, the first starting at `x[base]`.
+/// The planes of one pooling call.
 struct PoolRows<'a> {
     x: &'a [f32],
-    base: usize,
     h: usize,
     w: usize,
     kh: usize,
@@ -107,9 +81,9 @@ impl PoolRows<'_> {
     #[inline(always)]
     fn row_starts(&self, kh: usize, kw: usize) -> impl Iterator<Item = usize> {
         let (h_out, w_out) = (self.h / kh, self.w / kw);
-        let (base, plane, row) = (self.base, self.h * self.w, kh * self.w);
+        let (plane, row) = (self.h * self.w, kh * self.w);
         let planes = self.out.len() / (h_out * w_out);
-        (0..planes).flat_map(move |p| (0..h_out).map(move |oy| base + p * plane + oy * row))
+        (0..planes).flat_map(move |p| (0..h_out).map(move |oy| p * plane + oy * row))
     }
 
     /// `KH × KW` windows: each window folds in registers, without branches, and the loop
@@ -283,23 +257,6 @@ mod tests {
             let bits = |v: &[f32]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
             assert_eq!(bits(&out), bits(&want_out), "{h}x{w} / {kh}x{kw}");
         }
-    }
-
-    #[test]
-    fn plane_fan_out_matches_the_serial_pass() {
-        // 64 planes of 32×32 cross PAR_MIN_ELEMS.
-        let x: Vec<f32> = (0..64 * 32 * 32)
-            .map(|i| ((i * 31 % 97) as f32).sin())
-            .collect();
-        let run = |threads| {
-            rayon::set_num_threads(threads);
-            let pooled = maxpool_forward(&x, 64, 32, 32, 2, 2);
-            rayon::set_num_threads(0);
-            pooled
-        };
-        let serial = run(1);
-        assert_eq!(serial, run(2));
-        assert_eq!(serial, reference(&x, 64, 32, 32, 2, 2));
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //!    sub-threshold shape bounced to the scalar naive nest and everything above
 //!    it paid packing overhead it could not amortise.
 //! 4. Packed schemes take their tile from the widest available micro-kernel
-//!    (AVX-512 wide `16×16` → AVX-512 `16×8` → AVX `8×8` → portable `4×8`);
-//!    staging is double-buffered when a spare core exists, single-stage
-//!    otherwise.
+//!    (AVX-512 wide `16×16` → AVX-512 `16×8` → AVX `8×8` → portable `4×8`)
+//!    and are always single-stage. The engine already fans training out across
+//!    workers, so the plan never reads the thread count; double-buffered
+//!    staging runs only when a tiling override asks for `stages=2`.
 //!
 //! Two knobs adjust the plan (env or `RunConfig`): `MERGESFL_MICROKERNEL`
 //! (`portable`/`avx`/`avx512`/`avx512w` — unavailable kernels are ignored) and
@@ -89,12 +90,7 @@ pub fn select(trans: Trans, m: usize, n: usize, k: usize) -> GemmPlan {
             }
         }
     }
-    let stage = if rayon::current_num_threads() > 1 {
-        Staging::Double
-    } else {
-        Staging::Single
-    };
-    let mut scheme = TilingScheme::packed(preferred_tile(micro), stage);
+    let mut scheme = TilingScheme::packed(preferred_tile(micro), Staging::Single);
     tiling_override().apply(&mut scheme);
     scheme.validate();
     GemmPlan::Tiled(scheme, micro)
@@ -442,6 +438,26 @@ mod tests {
         }
         clear_overrides();
         assert_eq!(micro_select(), MicroSelect::Auto);
+    }
+
+    #[test]
+    fn the_plan_does_not_depend_on_the_thread_count() {
+        // Parallelism lives in the engine's worker fan-out, so a kernel plan reads
+        // no thread count and stays single-stage unless an override asks otherwise.
+        let _guard = lock();
+        clear_overrides();
+        let plan_at = |threads| {
+            rayon::set_num_threads(threads);
+            let plan = select(Trans::Nn, 256, 256, 256);
+            rayon::set_num_threads(0);
+            plan
+        };
+        let one = plan_at(1);
+        assert!(
+            matches!(one, GemmPlan::Tiled(scheme, _) if scheme.stage == Staging::Single),
+            "{one:?}"
+        );
+        assert_eq!(one, plan_at(4));
     }
 
     #[test]

@@ -87,7 +87,8 @@ pub enum Staging {
     /// Double-buffered multi-stage execution: while the micro-kernel consumes
     /// stage `i`'s packed A/B panels, a dedicated stage thread packs stage
     /// `i+1` into the alternate buffer pair. Hides pack latency behind compute
-    /// when a spare core exists; bit-identical to `Single` always.
+    /// when a spare core exists; bit-identical to `Single` always. The runtime
+    /// never plans it: only an explicit scheme or `stages=2` override runs it.
     Double,
 }
 
@@ -153,14 +154,14 @@ impl TilingScheme {
         );
     }
 
-    /// Number of stages the packed drivers iterate for an `m_local × n × k`
+    /// Number of stages the packed drivers iterate for an `m × n × k`
     /// product: one per `(nc, mc, kc)` block triple. `Direct` has one stage.
-    pub fn stage_count(&self, m_local: usize, n: usize, k: usize) -> usize {
+    pub fn stage_count(&self, m: usize, n: usize, k: usize) -> usize {
         if self.stage == Staging::Direct {
             return 1;
         }
         let jcs = n.div_ceil(self.partition.nc.min(n).max(1));
-        let ics = m_local.div_ceil(self.partition.mc.min(m_local).max(1));
+        let ics = m.div_ceil(self.partition.mc.min(m).max(1));
         let pcs = k.div_ceil(self.partition.kc.min(k).max(1));
         jcs * ics * pcs
     }

@@ -27,9 +27,8 @@ pub mod channel;
 static THREAD_OVERRIDE: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Pins (or, with 0, unpins) the fan-out width for subsequent parallel calls,
-/// process-wide. The allocation-counting phase of `kernel_bench` pins 1 so thread
-/// spawns stay out of its steady-state heap-allocation counts; real rayon has no such
-/// hook because its pool is sized once at build time.
+/// process-wide. Benchmarks use it to run a workload at a fixed worker fan-out; real
+/// rayon has no such hook because its pool is sized once at build time.
 pub fn set_num_threads(n: usize) {
     THREAD_OVERRIDE.store(n, std::sync::atomic::Ordering::Relaxed);
 }
@@ -38,8 +37,7 @@ pub fn set_num_threads(n: usize) {
 /// override if one is pinned, else the standard `RAYON_NUM_THREADS` environment
 /// variable (like real rayon's pool-build default), else the host parallelism. The
 /// environment and host lookups both allocate, so their result is resolved once and
-/// cached — this function is called on every parallel fan-out, including from the
-/// allocation-free kernel hot path.
+/// cached — this function is called on every parallel fan-out.
 pub fn current_num_threads() -> usize {
     let pinned = THREAD_OVERRIDE.load(std::sync::atomic::Ordering::Relaxed);
     if pinned >= 1 {
